@@ -162,9 +162,14 @@ main(int argc, char **argv)
     replay_table.setHeader({"scenario", "checksum", "bit-identical",
                             "live steps/s", "replay steps/s"});
     bool all_identical = true;
+    // The manifest hash is the first live run's: ctx->pipeline itself
+    // never steps (the grid fans out over per-task pipelines).
+    uint64_t manifest_hash = 0;
     for (const auto &s : sources) {
         const ReplayResult r =
             recordAndReplay(ctx->pipeline.config(), *s);
+        if (&s == &sources.front())
+            manifest_hash = r.liveHash;
         all_identical = all_identical && r.identical();
         replay_table.addRow(
             {r.name, strfmt("%016llx",
@@ -187,7 +192,7 @@ main(int argc, char **argv)
     report.addTable("record_replay", replay_table);
     report.comparison("replay bit-identical to live run", "yes",
                       all_identical ? "yes" : "NO");
-    report.runHash(ctx->pipeline.runHash());
+    report.runHash(manifest_hash);
 
     std::printf("\nreplay restores the recorded per-core Rng snapshots "
                 "each step, so the closed-loop trajectory is a pure "

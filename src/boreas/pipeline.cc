@@ -129,6 +129,7 @@ void
 SimulationPipeline::startSource(WorkloadSource &source, uint64_t seed,
                                 GHz warm_freq_override)
 {
+    obs::ScopedTimer start_timer("stage.start");
     boreas_assert(source.numCores() >= 1 &&
                       source.numCores() <= config_.floorplan.numCores,
                   "source '%s' drives %d cores, die has %d",
@@ -148,12 +149,15 @@ SimulationPipeline::startSource(WorkloadSource &source, uint64_t seed,
         // Trace replays carry the recorded warm power: the live probe
         // draws from the generator, which a recording cannot re-run.
         const std::vector<Watts> *recorded = source.recordedWarmPower();
-        const auto mean_power = recorded
-            ? *recorded
-            : meanUnitPower(source, seed ^ 0x5eedULL, warm_freq);
-        grid_.setUnitPower(mean_power);
+        if (recorded) {
+            warm_power = *recorded;
+        } else {
+            obs::ScopedTimer probe_timer("stage.start.warm_probe");
+            warm_power = meanUnitPower(source, seed ^ 0x5eedULL, warm_freq);
+        }
+        grid_.setUnitPower(warm_power);
+        obs::ScopedTimer steady_timer("stage.thermal.steady");
         grid_.solveSteadyState();
-        warm_power = mean_power;
     }
 
     // Sensors start in equilibrium with their local silicon.
@@ -279,7 +283,9 @@ SimulationPipeline::step(GHz freq)
 
     // Bitwise fingerprint of everything this step observed or
     // mutated. Fed by the determinism audit (tests compare it across
-    // thread counts); cheap next to the thermal integration.
+    // thread counts). Byte-wise FNV-1a over the counters and fields is
+    // one of the larger per-step stages, well above the spectral
+    // thermal step itself.
     {
         obs::ScopedTimer timer("stage.hash");
         Fnv1a hasher;

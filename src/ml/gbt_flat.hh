@@ -21,8 +21,8 @@
  *
  * predictBatch() fans row ranges over ThreadPool::global().parallelFor
  * and walks rows through each tree in blocks of eight (independent
- * descents keep the pipeline full), with a scalar tail for the
- * leftover rows. Every row's accumulation order is identical to
+ * descents keep the pipeline full; depths 1-4 are unrolled at compile
+ * time), with a scalar tail for the leftover rows. Every row's accumulation order is identical to
  * GBTRegressor::predict — base + learningRate * leaf, in tree order —
  * so results are bit-identical at every batch size and thread count.
  */

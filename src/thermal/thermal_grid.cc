@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/checked.hh"
+#include "common/dct.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -101,6 +102,7 @@ ThermalGrid::ThermalGrid(const Floorplan &floorplan,
     computeConstants();
     reset(params_.ambient);
     pCell_.assign(numCells(), 0.0);
+    steadyDct_ = std::make_unique<Dct2Plan>(params_.nx, params_.ny);
 
     if (params_.solver == ThermalSolverKind::Spectral)
         spectral_ =
@@ -452,78 +454,56 @@ ThermalGrid::ensureSpreaderCurrent() const
     spValid_ = true;
 }
 
-int
-ThermalGrid::solveSteadyState(double tolerance, int max_sweeps)
+void
+ThermalGrid::solveSteadyState()
 {
-    // SOR iterates on the real-space fields; materialize them first
-    // and invalidate the spectral mode state afterwards.
-    ensureSiliconCurrent();
-    ensureSpreaderCurrent();
-    modesValid_ = false;
-
+    // The DCT-II basis that diagonalizes the transient also
+    // diagonalizes the steady state (DESIGN.md §9.7): every mode is a
+    // closed-form 2x2 solve, and mode 0 is plain energy balance. The
+    // result depends on pCell_ alone, never on the prior state, and
+    // runs no dispatched code, so it is bitwise identical for every
+    // solver kind, thread count and host. The explicit path's scratch
+    // buffers hold the mode coefficients.
     const int nx = params_.nx;
     const int ny = params_.ny;
-    constexpr double omega = 1.85; // SOR over-relaxation
+    std::vector<double> lam_y(ny);
+    for (int ky = 0; ky < ny; ++ky)
+        lam_y[ky] = Dct2Plan::laplacianEigenvalue(ky, ny);
 
-    int sweep = 0;
-    for (; sweep < max_sweeps; ++sweep) {
-        double max_delta = 0.0;
+    double *zsi = newSi_.data();
+    double *zsp = newSp_.data();
+    steadyDct_->forward(pCell_.data(), zsi);
 
-        for (int y = 0; y < ny; ++y) {
-            const int row = y * nx;
-            for (int x = 0; x < nx; ++x) {
-                const int i = row + x;
-
-                // Silicon.
-                double num = pCell_[i] + gVert_ * tSp_[i];
-                double den = gVert_;
-                if (x > 0) { num += gLatSi_ * tSi_[i - 1]; den += gLatSi_; }
-                if (x < nx - 1) {
-                    num += gLatSi_ * tSi_[i + 1]; den += gLatSi_;
-                }
-                if (y > 0) { num += gLatSi_ * tSi_[i - nx]; den += gLatSi_; }
-                if (y < ny - 1) {
-                    num += gLatSi_ * tSi_[i + nx]; den += gLatSi_;
-                }
-                double t_new = num / den;
-                t_new = tSi_[i] + omega * (t_new - tSi_[i]);
-                max_delta = std::max(max_delta,
-                                     std::fabs(t_new - tSi_[i]));
-                tSi_[i] = t_new;
-
-                // Spreader.
-                num = gVert_ * tSi_[i] + gSinkCell_ * tSink_;
-                den = gVert_ + gSinkCell_;
-                if (x > 0) { num += gLatSp_ * tSp_[i - 1]; den += gLatSp_; }
-                if (x < nx - 1) {
-                    num += gLatSp_ * tSp_[i + 1]; den += gLatSp_;
-                }
-                if (y > 0) { num += gLatSp_ * tSp_[i - nx]; den += gLatSp_; }
-                if (y < ny - 1) {
-                    num += gLatSp_ * tSp_[i + nx]; den += gLatSp_;
-                }
-                t_new = num / den;
-                t_new = tSp_[i] + omega * (t_new - tSp_[i]);
-                max_delta = std::max(max_delta,
-                                     std::fabs(t_new - tSp_[i]));
-                tSp_[i] = t_new;
-            }
+    // Modes m != 0:  (gsi, -gv; -gv, gsp) (zsi, zsp) = (phat, 0).
+    const double gv = gVert_;
+    for (int kx = 0; kx < nx; ++kx) {
+        const double lam_x = Dct2Plan::laplacianEigenvalue(kx, nx);
+        for (int ky = 0; ky < ny; ++ky) {
+            const int m = kx * ny + ky;
+            if (m == 0)
+                continue;
+            const double lam = lam_x + lam_y[ky];
+            const double gsi = gLatSi_ * lam + gv;
+            const double gsp = gLatSp_ * lam + gv + gSinkCell_;
+            const double z = zsi[m] * gsp / (gsi * gsp - gv * gv);
+            zsi[m] = z;
+            zsp[m] = gv * z / gsp;
         }
-
-        // Sink node.
-        double num = params_.ambient / params_.sinkAmbientResistance;
-        double den = 1.0 / params_.sinkAmbientResistance;
-        for (int i = 0; i < numCells(); ++i) {
-            num += gSinkCell_ * tSp_[i];
-            den += gSinkCell_;
-        }
-        const double t_new = num / den;
-        max_delta = std::max(max_delta, std::fabs(t_new - tSink_));
-        tSink_ = t_new;
-
-        if (max_delta < tolerance)
-            break;
     }
+
+    // Mode 0 (the field sums): all power P leaves through the sink, so
+    // the sink sits P Ra above ambient and each layer's sum sits one
+    // series drop above the next.
+    const double p = zsi[0];
+    tSink_ = params_.ambient + p * params_.sinkAmbientResistance;
+    zsp[0] = numCells() * tSink_ + p / gSinkCell_;
+    zsi[0] = zsp[0] + p / gv;
+
+    steadyDct_->inverse(zsi, tSi_.data());
+    steadyDct_->inverse(zsp, tSp_.data());
+    siValid_ = true;
+    spValid_ = true;
+    modesValid_ = false;
 
     if constexpr (kCheckedBuild) {
         checkValuesInRange(tSi_.data(), tSi_.size(), kMinSaneTemp,
@@ -531,7 +511,6 @@ ThermalGrid::solveSteadyState(double tolerance, int max_sweeps)
         checkValuesInRange(tSp_.data(), tSp_.size(), kMinSaneTemp,
                            kMaxSaneTemp, "steady-state spreader temp");
     }
-    return sweep;
 }
 
 Celsius

@@ -32,8 +32,9 @@
  *   Surrogate — a seam for a learned one-step model
  *               (thermal/surrogate.hh); attach with setSurrogate().
  *
- * A steady-state SOR solve provides warm-start initial conditions for
- * any solver.
+ * A closed-form steady-state solve in the same DCT basis (one forward
+ * and two inverse transforms) provides warm-start initial conditions
+ * for any solver.
  */
 
 #pragma once
@@ -48,6 +49,7 @@
 namespace boreas
 {
 
+class Dct2Plan;
 class SpectralThermalSolver;
 struct SpectralNetwork;
 class ThermalSurrogate;
@@ -174,13 +176,13 @@ class ThermalGrid
     void step(Seconds dt);
 
     /**
-     * Solve the steady state for the current power map (SOR iteration)
-     * and load it as the present thermal state. Used for warm-start
-     * initial conditions.
-     *
-     * @return number of sweeps used
+     * Solve the steady state for the current power map exactly and load
+     * it as the present thermal state. Used for warm-start initial
+     * conditions. Closed form per DCT mode (DESIGN.md §9.7): the result
+     * depends only on the power map, never on the prior state or the
+     * solver kind, and is bitwise reproducible across hosts.
      */
-    int solveSteadyState(double tolerance = 1e-7, int max_sweeps = 50000);
+    void solveSteadyState();
 
     /** Reset all nodes to a uniform temperature. */
     void reset(Celsius uniform);
@@ -292,9 +294,13 @@ class ThermalGrid
     // Last accepted unit-power vector (identical-input skip).
     std::vector<Watts> unitPowerCache_;
 
-    // Scratch buffers for integration.
+    // Scratch buffers for integration (the steady-state solve also
+    // keeps its mode coefficients here).
     std::vector<double> newSi_;
     std::vector<double> newSp_;
+
+    // Transform for the closed-form steady-state solve.
+    std::unique_ptr<Dct2Plan> steadyDct_;
 
     // Checked-build shadow-run scratch.
     std::vector<double> shadowSi_;

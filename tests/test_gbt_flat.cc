@@ -203,6 +203,29 @@ TEST(FlatGBT, SingleTreeLeafMatchesTreeWalk)
     }
 }
 
+TEST(FlatGBT, PredictBatchMatchesAtEveryTreeDepth)
+{
+    // The batch path unrolls depths 1-4 at compile time and loops at
+    // run time beyond that; both must reproduce the reference.
+    const Dataset data = flatData(400, 7);
+    const size_t nf = data.numFeatures();
+    const std::vector<double> rows = packRows(data);
+    const size_t n = data.numRows();
+    for (const int depth : {1, 2, 4, 6}) {
+        GBTRegressor model;
+        model.train(data,
+                    GBTParams{.maxDepth = depth, .nEstimators = 12});
+        const FlatGBT flat(model);
+        std::vector<double> out(n, 0.0);
+        flat.predictBatch(rows.data(), n, out.data());
+        for (size_t r = 0; r < n; ++r) {
+            ASSERT_TRUE(sameBits(out[r],
+                                 model.predict(rows.data() + r * nf)))
+                << "depth " << depth << " row " << r;
+        }
+    }
+}
+
 TEST(FlatGBT, StumpEnsembleAndEmptyBatchWork)
 {
     // Degenerate shapes: depth-0 trees (gamma prunes every split) and

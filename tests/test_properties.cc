@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "boreas/dataset_builder.hh"
@@ -148,13 +149,50 @@ TEST(ThermalProperties, SteadyStateIsAFixedPointOfTheTransient)
     power[fp.findUnit(UnitKind::IntALU, 0)] = 4.0;
     power[fp.findUnit(UnitKind::L3, -1)] = 2.0;
     grid.setUnitPower(power);
-    grid.solveSteadyState(1e-10);
+    grid.solveSteadyState();
     const std::vector<Celsius> before = grid.siliconTemps();
     grid.step(2e-3);
     const std::vector<Celsius> &after = grid.siliconTemps();
     for (size_t i = 0; i < before.size(); i += 5)
         EXPECT_NEAR(before[i], after[i], 0.02);
 }
+
+class SteadyStateFixedPoint : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SteadyStateFixedPoint, OneExplicitStepMovesNoNode)
+{
+    // The closed-form solve is exact, so one explicit 80 us step from
+    // it moves no node beyond roundoff. 64x64 runs the fast
+    // power-of-two transform, 24x24 the dense-DCT fallback.
+    const Floorplan fp = buildSkylakeFloorplan();
+    ThermalParams params;
+    params.nx = GetParam();
+    params.ny = GetParam();
+    ThermalGrid grid(fp, params);
+    std::vector<Watts> power(fp.numUnits(), 0.5);
+    power[fp.findUnit(UnitKind::IntALU, 0)] = 4.0;
+    power[fp.findUnit(UnitKind::FPU, 1)] = 3.0;
+    grid.setUnitPower(power);
+    grid.solveSteadyState();
+    const std::vector<Celsius> si = grid.siliconTemps();
+    const std::vector<Celsius> sp = grid.spreaderTemps();
+    const Celsius sink = grid.sinkTemp();
+
+    grid.step(80e-6);
+    const auto &si_after = grid.siliconTemps();
+    const auto &sp_after = grid.spreaderTemps();
+    double max_move = std::fabs(grid.sinkTemp() - sink);
+    for (size_t i = 0; i < si.size(); ++i) {
+        max_move = std::max(max_move, std::fabs(si_after[i] - si[i]));
+        max_move = std::max(max_move, std::fabs(sp_after[i] - sp[i]));
+    }
+    EXPECT_LT(max_move, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(GridSizes, SteadyStateFixedPoint,
+                         ::testing::Values(64, 24));
 
 TEST(ThermalProperties, SuperpositionOfSources)
 {
@@ -167,7 +205,7 @@ TEST(ThermalProperties, SuperpositionOfSources)
     auto solve = [&](std::vector<Watts> p) {
         ThermalGrid grid(fp, params);
         grid.setUnitPower(p);
-        grid.solveSteadyState(1e-10);
+        grid.solveSteadyState();
         return grid.siliconTemps();
     };
     std::vector<Watts> p1(fp.numUnits(), 0.0);

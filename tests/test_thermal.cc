@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/checked.hh"
 #include "floorplan/skylake.hh"
@@ -79,10 +80,66 @@ TEST(ThermalGrid, SteadyStateEnergyBalance)
     std::vector<Watts> power(fp.numUnits(), 0.0);
     power[fp.findUnit(UnitKind::DCache, 0)] = 10.0;
     grid.setUnitPower(power);
-    grid.solveSteadyState(1e-9);
+    grid.solveSteadyState();
     const double flow = (grid.sinkTemp() - params.ambient) /
         params.sinkAmbientResistance;
     EXPECT_NEAR(flow, 10.0, 0.05);
+    // Mode 0 of the closed-form solve is that balance, exactly.
+    EXPECT_NEAR(grid.sinkTemp(),
+                params.ambient +
+                    grid.totalPower() * params.sinkAmbientResistance,
+                1e-9);
+}
+
+TEST(ThermalGrid, SteadyStateIndependentOfPriorState)
+{
+    // The solve reads only the power map: solving from ambient and
+    // solving after a hot transient give the same bits.
+    const Floorplan fp = buildSkylakeFloorplan();
+    ThermalGrid cold(fp, ThermalParams{});
+    ThermalGrid hot(fp, ThermalParams{});
+    std::vector<Watts> power(fp.numUnits(), 0.5);
+    power[fp.findUnit(UnitKind::FPU, 0)] = 6.0;
+
+    std::vector<Watts> heat(fp.numUnits(), 3.0);
+    hot.setUnitPower(heat);
+    for (int i = 0; i < 200; ++i)
+        hot.step(80e-6);
+
+    cold.setUnitPower(power);
+    hot.setUnitPower(power);
+    cold.solveSteadyState();
+    hot.solveSteadyState();
+    EXPECT_TRUE(cold.siliconTemps() == hot.siliconTemps());
+    EXPECT_TRUE(cold.spreaderTemps() == hot.spreaderTemps());
+    EXPECT_EQ(cold.sinkTemp(), hot.sinkTemp());
+}
+
+TEST(ThermalGrid, SteadyStateIdenticalForEverySolver)
+{
+    // Every solver kind warm-starts through the same code path.
+    const Floorplan fp = buildSkylakeFloorplan();
+    std::vector<Watts> power(fp.numUnits(), 0.5);
+    power[fp.findUnit(UnitKind::IntALU, 1)] = 4.5;
+    auto solve = [&](ThermalSolverKind kind) {
+        ThermalParams params;
+        params.solver = kind;
+        auto grid = std::make_unique<ThermalGrid>(fp, params);
+        grid->setUnitPower(power);
+        grid->solveSteadyState();
+        return grid;
+    };
+    const auto ref = solve(ThermalSolverKind::Explicit);
+    for (ThermalSolverKind kind :
+         {ThermalSolverKind::Spectral, ThermalSolverKind::Surrogate}) {
+        const auto grid = solve(kind);
+        EXPECT_TRUE(grid->siliconTemps() == ref->siliconTemps())
+            << thermalSolverName(kind);
+        EXPECT_TRUE(grid->spreaderTemps() == ref->spreaderTemps())
+            << thermalSolverName(kind);
+        EXPECT_EQ(grid->sinkTemp(), ref->sinkTemp())
+            << thermalSolverName(kind);
+    }
 }
 
 TEST(ThermalGrid, TransientConvergesToSteadyState)
@@ -97,7 +154,7 @@ TEST(ThermalGrid, TransientConvergesToSteadyState)
     std::vector<Watts> power(fp.numUnits(), 0.0);
     power[fp.findUnit(UnitKind::FPU, 0)] = 8.0;
     steady.setUnitPower(power);
-    steady.solveSteadyState(1e-9);
+    steady.solveSteadyState();
 
     transient.setUnitPower(power);
     for (int i = 0; i < 4000; ++i)
@@ -142,13 +199,13 @@ TEST(ThermalGrid, LinearityOfSteadyState)
 
     power[fpu] = 3.0;
     grid.setUnitPower(power);
-    grid.solveSteadyState(1e-9);
+    grid.solveSteadyState();
     const double rise1 = grid.maxSiliconTemp() - params.ambient;
 
     grid.reset(params.ambient);
     power[fpu] = 6.0;
     grid.setUnitPower(power);
-    grid.solveSteadyState(1e-9);
+    grid.solveSteadyState();
     const double rise2 = grid.maxSiliconTemp() - params.ambient;
     EXPECT_NEAR(rise2 / rise1, 2.0, 0.01);
 }
