@@ -3,7 +3,9 @@
  * Google-benchmark microbenchmarks of the hot paths backing the
  * Sec. V-E overhead discussion: one GBT prediction (reference walk and
  * flat engine), one controller decision, one thermal step, one
- * MLTD/severity evaluation, and one full pipeline telemetry step.
+ * MLTD/severity evaluation, and one full pipeline telemetry step —
+ * plus the spectral solver's per-step cost: one 64x64 forward/inverse
+ * DCT per endpoint type and one ingest -> step -> publish cycle.
  *
  * Every benchmark runs kRepetitions times so the capturing reporter
  * can surface tail latency: the artifact's "latency" series carries
@@ -17,6 +19,8 @@
 
 #include "boreas/pipeline.hh"
 #include "boreas/trainer.hh"
+#include "common/dct.hh"
+#include "common/rng.hh"
 #include "common/table.hh"
 #include "control/boreas_controller.hh"
 #include "ml/feature_schema.hh"
@@ -134,6 +138,84 @@ BM_ThermalStep80us(benchmark::State &bm)
         grid.step(kTelemetryStep);
 }
 BENCHMARK(BM_ThermalStep80us)->Apply(microBench);
+
+/** A 64x64 field of plausible die temperatures for the DCT rows. */
+static std::vector<double>
+dctField()
+{
+    Rng rng(64);
+    std::vector<double> field(64 * 64);
+    for (double &v : field)
+        v = rng.uniform(40.0, 110.0);
+    return field;
+}
+
+/** forward() on the default grid, into double or float modes. */
+template <typename TModes>
+static void
+BM_DctForward64(benchmark::State &bm)
+{
+    Dct2Plan plan(64, 64);
+    const std::vector<double> field = dctField();
+    std::vector<TModes> modes(field.size());
+    for (auto _ : bm) {
+        plan.forward(field.data(), modes.data());
+        benchmark::DoNotOptimize(modes.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK_TEMPLATE(BM_DctForward64, double)->Apply(microBench);
+BENCHMARK_TEMPLATE(BM_DctForward64, float)->Apply(microBench);
+
+/** inverse() on the default grid, from double or float modes. */
+template <typename TModes>
+static void
+BM_DctInverse64(benchmark::State &bm)
+{
+    Dct2Plan plan(64, 64);
+    const std::vector<double> field = dctField();
+    std::vector<TModes> modes(field.size());
+    plan.forward(field.data(), modes.data());
+    std::vector<double> out(field.size());
+    for (auto _ : bm) {
+        plan.inverse(modes.data(), out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK_TEMPLATE(BM_DctInverse64, double)->Apply(microBench);
+BENCHMARK_TEMPLATE(BM_DctInverse64, float)->Apply(microBench);
+
+/**
+ * One spectral cycle as the pipeline runs it: ingest a power vector
+ * that differs from the last one (so the unchanged-input shortcut
+ * never fires), step 80 us, then publish the silicon field.
+ */
+static void
+BM_SpectralCycle(benchmark::State &bm)
+{
+    const Floorplan fp = buildSkylakeFloorplan();
+    ThermalParams params;
+    params.solver = ThermalSolverKind::Spectral;
+    params.spectralShadowCheck = false;
+    ThermalGrid grid(fp, params);
+    Rng rng(80);
+    std::vector<Watts> power[2];
+    for (auto &p : power) {
+        p.resize(fp.numUnits());
+        for (Watts &w : p)
+            w = rng.uniform(0.5, 5.0);
+    }
+    grid.setUnitPower(power[0]);
+    grid.solveSteadyState();
+    size_t i = 0;
+    for (auto _ : bm) {
+        grid.setUnitPower(power[++i % 2]);
+        grid.step(kTelemetryStep);
+        benchmark::DoNotOptimize(grid.siliconTemps().data());
+    }
+}
+BENCHMARK(BM_SpectralCycle)->Apply(microBench);
 
 static void
 BM_SeverityEvaluation(benchmark::State &bm)

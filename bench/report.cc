@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/dct.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/stats.hh"
@@ -55,6 +56,7 @@ BenchReport::BenchReport(std::string id) : id_(std::move(id))
     artifact_.manifest.scale = scaleName(benchScale());
     artifact_.manifest.threads = ThreadPool::global().numThreads();
     artifact_.manifest.seed = kBenchSeed;
+    artifact_.manifest.simdDispatch = Dct2Plan::dispatchedClone();
     t0_ = std::chrono::steady_clock::now();
 }
 

@@ -23,12 +23,15 @@
  * inverse(forward(f)) == f up to roundoff.
  *
  * Power-of-two axis lengths use Lee's O(n log n) split recursion,
- * flattened into iterative level sweeps that transform every row of
- * the field simultaneously (the batch dimension is contiguous, so the
- * inner loops vectorize and there is no per-row call overhead); other
- * lengths fall back to a dense cosine matrix multiply, likewise
- * batched. Instances carry scratch buffers and are NOT thread-safe;
- * give each thread (each ThermalGrid) its own plan.
+ * flattened into iterative level sweeps over strips of 8 adjacent
+ * batch columns (one 512-bit vector per position): each strip runs its
+ * whole sweep sequence in two L1-resident scratch arrays, and the
+ * transpose between the two axis passes is folded into the first
+ * pass's final store. Other lengths fall back to a dense cosine matrix
+ * multiply over the same strips. The four entry points are dispatched
+ * to AVX-512 / AVX2 / baseline clones that all produce the same bits
+ * (DESIGN.md §9.4, §9.6). Instances carry scratch buffers and are NOT
+ * thread-safe; give each thread (each ThermalGrid) its own plan.
  */
 
 #pragma once
@@ -53,7 +56,7 @@ class Dct2Plan
      * [y*nx + x]; `modes` is written as [kx*ny + ky]. The two arrays
      * must not alias. The float overload rounds only the final store
      * (all internal arithmetic stays double) — it exists for callers
-     * that keep bandwidth-bound mode-space state in single precision.
+     * that keep their mode-space state in single precision.
      */
     void forward(const double *field, double *modes);
     void forward(const double *field, float *modes);
@@ -74,14 +77,33 @@ class Dct2Plan
      */
     static double laplacianEigenvalue(int k, int n);
 
+    /**
+     * Name of the clone the entry points dispatch to on this host:
+     * "avx512f", "avx2" or "default", checked in the resolver's order;
+     * "none" when the build compiles the clones out.
+     */
+    static const char *dispatchedClone();
+
   private:
+    /** Batch columns per strip (one 512-bit vector of doubles). */
+    static constexpr int kStripLanes = 8;
+
+    /** Storage for one strip; aligned so strip loads never split. */
+    struct alignas(64) StripSlot
+    {
+        double lane[kStripLanes];
+    };
+
     /** Per-axis transform data (Lee tables or dense fallback). */
     struct Axis
     {
         int n = 0;
         bool pow2 = false;
-        /** 0.5 / cos((i+0.5) pi / len) per recursion level, flat. */
-        std::vector<double> halfSec;
+        /**
+         * 0.5 / cos((i+0.5) pi / len) per recursion level, flat, each
+         * broadcast to every strip lane.
+         */
+        std::vector<StripSlot> halfSec;
         /** Offset of each level's table in halfSec (len = n >> level). */
         std::vector<size_t> levelOff;
         /** Dense fallback, forward: [k*n + i] = cos(pi k (2i+1)/(2n)). */
@@ -93,24 +115,17 @@ class Dct2Plan
     static Axis makeAxis(int n);
 
     /**
-     * Unnormalized DCT-II along the outer (position) index of `src`, a
-     * [ax.n x batch] array with the batch index contiguous, written to
-     * `dst` (must not alias `src`). Level sweeps ping-pong through the
-     * padded internal buffers; the final sweep lands in `dst`,
-     * narrowing only on that last store when TDst is float.
+     * Transform along `ax` every column of a [ax.n x batch] input, one
+     * strip of kStripLanes columns at a time. `load(v, k, c0, lanes)`
+     * fills strip *v with position k of the strip starting at column
+     * c0 (lanes beyond `lanes` zero-padded); the strip is transformed
+     * in the two scratch arrays (DCT-II, or with `Inverse` the
+     * unscaled DCT-III, position 0 pre-halved when `halve_first`); and
+     * `store(k, c0, lanes, v)` receives each output position.
      */
-    template <typename TDst>
-    void batchedDct2(const Axis &ax, const double *src, TDst *dst,
-                     int batch);
-    /**
-     * Batched DCT-III counterpart (inverse direction, unscaled). With
-     * `halve_first` the position-0 input row is read pre-halved, which
-     * is the coefficient-0 halving the true inverse needs per axis.
-     * When TSrc is float each input is widened on its first read.
-     */
-    template <typename TSrc>
-    void batchedDct3(const Axis &ax, const TSrc *src, double *dst,
-                     int batch, bool halve_first);
+    template <bool Inverse, typename Load, typename Store>
+    void strips(const Axis &ax, int batch, bool halve_first,
+                const Load &load, const Store &store);
 
     template <typename TDst>
     void forwardImpl(const double *field, TDst *modes);
@@ -121,10 +136,8 @@ class Dct2Plan
     int ny_;
     Axis ax_;
     Axis ay_;
-    std::vector<double> passScratch_; ///< transpose staging buffer
-    std::vector<double> fieldScratch_;///< first-pass result buffer
-    std::vector<double> pingPad_;     ///< padded-stride sweep buffer A
-    std::vector<double> pongPad_;     ///< padded-stride sweep buffer B
+    std::vector<double> fieldScratch_; ///< between-pass result buffer
+    std::vector<StripSlot> stripScratch_; ///< 2 x max(nx, ny) strips
 };
 
 } // namespace boreas

@@ -129,6 +129,9 @@ emitManifest(std::ostream &os, const RunManifest &m)
     if (!m.predictEngine.empty())
         os << "    \"predict_engine\": \"" << escape(m.predictEngine)
            << "\",\n";
+    if (!m.simdDispatch.empty())
+        os << "    \"simd_dispatch\": \"" << escape(m.simdDispatch)
+           << "\",\n";
     if (m.hasTraceChecksum)
         os << "    \"trace_checksum\": \"" << hexString(m.traceChecksum)
            << "\",\n";

@@ -44,6 +44,12 @@ struct RunManifest
      */
     std::string predictEngine;
     /**
+     * Clone the dispatched DCT kernels run on this host ("avx512f",
+     * "avx2", "default", or "none" when the build compiles the clones
+     * out); "" when not recorded.
+     */
+    std::string simdDispatch;
+    /**
      * boreas-trace-v1 payload checksum when the run recorded or
      * replayed a trace (valid when hasTraceChecksum).
      */

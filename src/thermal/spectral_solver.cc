@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/simd.hh"
 
 namespace boreas
 {
@@ -131,27 +132,16 @@ solve3(const double *a_in, const double *b_in, double *x)
 
 /**
  * Dispatch the mode sweep through GCC's function multi-versioning on
- * x86-64: the resolver picks an AVX2+FMA clone at load time when the
- * host supports it (the narrow->wide converts on the float streams
- * are what the 128-bit baseline bottlenecks on), with the portable
- * clone as fallback. The explicit stencil deliberately gets no such
- * treatment — its results are required to stay bit-identical across
- * hosts, and FMA contraction would break that; the spectral path's
- * accuracy contract is the error bound, not bitwise equality.
- *
- * Disabled under ThreadSanitizer: the ifunc resolver multi-versioning
- * emits runs before the TSan runtime initializes and segfaults every
- * binary at load (sweep numerics are identical either way).
+ * x86-64 (common/simd.hh): the resolver picks an AVX2+FMA clone at
+ * load time when the host supports it (the narrow->wide converts on
+ * the float streams are what the 128-bit baseline bottlenecks on),
+ * with the portable clone as fallback. This is the one dispatched
+ * kernel allowed to contract into FMAs, so it is the one place the
+ * spectral path is not bitwise identical across hosts; its accuracy
+ * contract is the error bound, not bitwise equality. The explicit
+ * stencil gets no clones at all.
  */
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define BOREAS_SWEEP_CLONES \
-    __attribute__((target_clones("avx2,fma", "default")))
-#else
-#define BOREAS_SWEEP_CLONES
-#endif
-
-BOREAS_SWEEP_CLONES void
+BOREAS_TARGET_CLONES("avx2,fma", "default") void
 sweepModes(int nx, int ny, const double *__restrict lamX,
            const double *__restrict ly, double dd_base, double ddl,
            double a12, double a21, const float *__restrict ch,

@@ -98,8 +98,9 @@ class SpectralThermalSolver
     std::vector<double> lamY_;
 
     // Mode-space state and drive. The per-mode state is held in
-    // single precision (the step sweep and the realize DCTs are
-    // bandwidth-bound on it; all update arithmetic stays double).
+    // single precision (the step sweep is bandwidth-bound on it; the
+    // realize DCTs read it once, widening each strip as it is loaded;
+    // all update arithmetic stays double).
     // Mode 0 is the exception: it is the field mean coupled to the
     // sink, whose contraction per telemetry step is ~1e-5 — slow
     // enough that repeated float rounding could accumulate — so its

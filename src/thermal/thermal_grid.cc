@@ -224,6 +224,9 @@ ThermalGrid::setUnitPower(const std::vector<Watts> &unit_power)
     // the spectral power transform) bit for bit, so skip the rescatter.
     if (!unitPowerCache_.empty() && unit_power == unitPowerCache_)
         return;
+    // The ingest is everything past that early return: the unit->cell
+    // rescatter (every solver) plus the spectral power transform.
+    obs::ScopedTimer timer("stage.thermal.ingest");
     unitPowerCache_ = unit_power;
 
     std::fill(pCell_.begin(), pCell_.end(), 0.0);
@@ -234,10 +237,8 @@ ThermalGrid::setUnitPower(const std::vector<Watts> &unit_power)
             pCell_[map.cells[k]] += p * map.fractions[k];
     }
 
-    if (spectral_ != nullptr) {
-        obs::ScopedTimer timer("stage.thermal.ingest");
+    if (spectral_ != nullptr)
         spectral_->setPower(pCell_);
-    }
 }
 
 void

@@ -251,6 +251,21 @@ TEST(Export, GoldenBenchArtifact)
     EXPECT_EQ(os.str(), golden);
 }
 
+TEST(Export, SimdDispatchEmittedOnlyWhenSet)
+{
+    obs::BenchArtifact artifact;
+    artifact.manifest.experiment = "simd";
+    std::ostringstream unset;
+    obs::writeBenchArtifact(artifact, unset);
+    EXPECT_EQ(unset.str().find("simd_dispatch"), std::string::npos);
+
+    artifact.manifest.simdDispatch = "avx512f";
+    std::ostringstream set;
+    obs::writeBenchArtifact(artifact, set);
+    EXPECT_NE(set.str().find("    \"simd_dispatch\": \"avx512f\",\n"),
+              std::string::npos);
+}
+
 TEST(Export, WriteRestoresStreamPrecision)
 {
     obs::BenchArtifact artifact;

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/checked.hh"
 #include "common/dct.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "floorplan/skylake.hh"
 #include "thermal/spectral_solver.hh"
@@ -142,6 +145,177 @@ TEST(Dct2Plan, DiagonalizesTheLateralStencil)
                     << "mode (" << kx << ", " << ky << ")";
             }
         }
+    }
+}
+
+namespace
+{
+
+/** cos(pi k (2i + 1) / (2n)) as a [k*n + i] table. */
+std::vector<long double>
+cosineTable(int n)
+{
+    const long double pi = 3.141592653589793238462643383279502884L;
+    std::vector<long double> c(static_cast<size_t>(n) * n);
+    for (int k = 0; k < n; ++k) {
+        for (int i = 0; i < n; ++i)
+            c[k * n + i] = std::cos(pi * k * (2 * i + 1) / (2.0L * n));
+    }
+    return c;
+}
+
+/**
+ * The forward transform exactly as dct.hh defines it, summed term by
+ * term one axis at a time (O(n^2) per row) in long double.
+ */
+std::vector<double>
+oracleForward(const std::vector<double> &field, int nx, int ny)
+{
+    const std::vector<long double> cx = cosineTable(nx);
+    const std::vector<long double> cy = cosineTable(ny);
+    std::vector<long double> rows(field.size()); // [y*nx + kx]
+    for (int y = 0; y < ny; ++y) {
+        for (int kx = 0; kx < nx; ++kx) {
+            long double acc = 0.0L;
+            for (int x = 0; x < nx; ++x)
+                acc += field[y * nx + x] * cx[kx * nx + x];
+            rows[y * nx + kx] = acc;
+        }
+    }
+    std::vector<double> modes(field.size());
+    for (int kx = 0; kx < nx; ++kx) {
+        for (int ky = 0; ky < ny; ++ky) {
+            long double acc = 0.0L;
+            for (int y = 0; y < ny; ++y)
+                acc += rows[y * nx + kx] * cy[ky * ny + y];
+            modes[kx * ny + ky] = static_cast<double>(acc);
+        }
+    }
+    return modes;
+}
+
+/**
+ * The matching inverse: field = (2/nx)(2/ny) sum_{kx,ky} w(kx) w(ky)
+ * modes[kx*ny + ky] cos(..x..) cos(..y..), with w(0) = 1/2, w(k) = 1.
+ */
+std::vector<double>
+oracleInverse(const std::vector<double> &modes, int nx, int ny)
+{
+    const std::vector<long double> cx = cosineTable(nx);
+    const std::vector<long double> cy = cosineTable(ny);
+    const auto w = [](int k) { return k == 0 ? 0.5L : 1.0L; };
+    std::vector<long double> cols(modes.size()); // [kx*ny + y]
+    for (int kx = 0; kx < nx; ++kx) {
+        for (int y = 0; y < ny; ++y) {
+            long double acc = 0.0L;
+            for (int ky = 0; ky < ny; ++ky)
+                acc += w(ky) * modes[kx * ny + ky] * cy[ky * ny + y];
+            cols[kx * ny + y] = acc;
+        }
+    }
+    std::vector<double> field(modes.size());
+    for (int y = 0; y < ny; ++y) {
+        for (int x = 0; x < nx; ++x) {
+            long double acc = 0.0L;
+            for (int kx = 0; kx < nx; ++kx)
+                acc += w(kx) * cols[kx * ny + y] * cx[kx * nx + x];
+            field[y * nx + x] =
+                static_cast<double>(acc * 4.0L / (1.0L * nx * ny));
+        }
+    }
+    return field;
+}
+
+/** Every element within 1e-9 of `want`'s largest magnitude. */
+void
+expectMatchesOracle(const std::vector<double> &got,
+                    const std::vector<double> &want)
+{
+    double scale = 0.0;
+    for (double v : want)
+        scale = std::max(scale, std::fabs(v));
+    for (size_t i = 0; i < got.size(); ++i)
+        ASSERT_NEAR(got[i], want[i], 1e-9 * scale) << "element " << i;
+}
+
+template <typename T>
+uint64_t
+digestOf(const std::vector<T> &v)
+{
+    Fnv1a h;
+    h.addBytes(v.data(), v.size() * sizeof(T));
+    return h.digest();
+}
+
+} // namespace
+
+TEST(Dct2Plan, MatchesDirectCosineSumOracle)
+{
+    // 8x8 is exactly one strip; 12x8 pairs a dense axis with a partial
+    // strip; 24x24 is dense on both axes; 4x4 is narrower than a strip.
+    struct Size { int nx, ny; };
+    for (const auto &[nx, ny] :
+         {Size{8, 8}, Size{16, 16}, Size{64, 64}, Size{128, 128},
+          Size{12, 8}, Size{24, 24}, Size{4, 4}}) {
+        SCOPED_TRACE(testing::Message() << nx << "x" << ny);
+        Dct2Plan plan(nx, ny);
+        const std::vector<double> field = randomField(nx * ny, 5 + nx);
+
+        // Forward: double modes against the oracle; float modes are
+        // the double result narrowed on the final store.
+        std::vector<double> modes(field.size());
+        std::vector<float> modesF(field.size());
+        plan.forward(field.data(), modes.data());
+        plan.forward(field.data(), modesF.data());
+        expectMatchesOracle(modes, oracleForward(field, nx, ny));
+        for (size_t i = 0; i < modes.size(); ++i)
+            ASSERT_EQ(modesF[i], static_cast<float>(modes[i])) << i;
+
+        // Inverse from double modes, and from float modes widened on
+        // first read (the oracle sees the same widened values).
+        std::vector<double> back(field.size());
+        plan.inverse(field.data(), back.data());
+        expectMatchesOracle(back, oracleInverse(field, nx, ny));
+        std::vector<float> fieldF(field.begin(), field.end());
+        const std::vector<double> widened(fieldF.begin(), fieldF.end());
+        plan.inverse(fieldF.data(), back.data());
+        expectMatchesOracle(back, oracleInverse(widened, nx, ny));
+    }
+}
+
+TEST(Dct2Plan, BitwiseGoldenDigests)
+{
+    // FNV-1a digests of the four entry points' outputs, pinned with
+    // the batched-sweep implementation that preceded the strip
+    // kernels. Every dispatched clone must reproduce them bit for bit
+    // (DESIGN.md §9.6); a mismatch means some floating-point operation
+    // moved, and with it every spectral runHash.
+    struct Golden
+    {
+        int n;
+        uint64_t forward, forwardFloat, inverse, inverseFloat;
+    };
+    for (const Golden &g :
+         {Golden{64, 0xc3e3675128647a06ULL, 0x78ed06fba2b9aae5ULL,
+                 0xdb9ddaf9fc3ba16cULL, 0x4a8b29e9a7198420ULL},
+          Golden{24, 0x5a599b21c590fb66ULL, 0xa549b95c6c5b8d86ULL,
+                 0xdf5a17b84a17daa7ULL, 0xdc8f6727980aab8fULL}}) {
+        SCOPED_TRACE(testing::Message() << g.n << "x" << g.n);
+        Dct2Plan plan(g.n, g.n);
+        const std::vector<double> field = randomField(g.n * g.n, 2024);
+        const std::vector<float> fieldF(field.begin(), field.end());
+        std::vector<double> modes(field.size());
+        std::vector<float> modesF(field.size());
+        std::vector<double> back(field.size());
+        std::vector<double> backF(field.size());
+        plan.forward(field.data(), modes.data());
+        plan.forward(field.data(), modesF.data());
+        plan.inverse(field.data(), back.data());
+        plan.inverse(fieldF.data(), backF.data());
+        EXPECT_EQ(digestOf(modes), g.forward);
+        EXPECT_EQ(digestOf(modesF), g.forwardFloat);
+        EXPECT_EQ(digestOf(back), g.inverse);
+        EXPECT_EQ(digestOf(backF), g.inverseFloat);
     }
 }
 
