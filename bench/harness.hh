@@ -43,10 +43,10 @@ Scale benchScale();
 
 /**
  * Thermal integrator the benches run, selected via the environment
- * variable BOREAS_THERMAL_SOLVER ("explicit" / "spectral" /
- * "surrogate"). Defaults to the spectral fast path — the cheapest way
- * to produce every figure; set "explicit" to reproduce the reference
- * integrator's bit-exact trajectories.
+ * variable BOREAS_THERMAL_SOLVER ("explicit" / "spectral"). Defaults
+ * to the spectral fast path — the cheapest way to produce every
+ * figure; set "explicit" to reproduce the reference integrator's
+ * trajectories. Both are bitwise identical on every host.
  */
 ThermalSolverKind benchThermalSolver();
 

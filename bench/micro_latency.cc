@@ -4,8 +4,9 @@
  * Sec. V-E overhead discussion: one GBT prediction (reference walk and
  * flat engine), one controller decision, one thermal step, one
  * MLTD/severity evaluation, and one full pipeline telemetry step —
- * plus the spectral solver's per-step cost: one 64x64 forward/inverse
- * DCT per endpoint type and one ingest -> step -> publish cycle.
+ * plus the spectral solver's per-step cost: one 64x64 forward and
+ * inverse DCT, the mode sweep alone, and one ingest -> step -> publish
+ * cycle.
  *
  * Every benchmark runs kRepetitions times so the capturing reporter
  * can surface tail latency: the artifact's "latency" series carries
@@ -26,6 +27,7 @@
 #include "ml/feature_schema.hh"
 #include "ml/gbt_flat.hh"
 #include "report.hh"
+#include "thermal/spectral_solver.hh"
 #include "workload/registry.hh"
 #include "workload/spec2006.hh"
 
@@ -150,31 +152,28 @@ dctField()
     return field;
 }
 
-/** forward() on the default grid, into double or float modes. */
-template <typename TModes>
+/** forward() on the default grid. */
 static void
 BM_DctForward64(benchmark::State &bm)
 {
     Dct2Plan plan(64, 64);
     const std::vector<double> field = dctField();
-    std::vector<TModes> modes(field.size());
+    std::vector<double> modes(field.size());
     for (auto _ : bm) {
         plan.forward(field.data(), modes.data());
         benchmark::DoNotOptimize(modes.data());
         benchmark::ClobberMemory();
     }
 }
-BENCHMARK_TEMPLATE(BM_DctForward64, double)->Apply(microBench);
-BENCHMARK_TEMPLATE(BM_DctForward64, float)->Apply(microBench);
+BENCHMARK(BM_DctForward64)->Apply(microBench);
 
-/** inverse() on the default grid, from double or float modes. */
-template <typename TModes>
+/** inverse() on the default grid. */
 static void
 BM_DctInverse64(benchmark::State &bm)
 {
     Dct2Plan plan(64, 64);
     const std::vector<double> field = dctField();
-    std::vector<TModes> modes(field.size());
+    std::vector<double> modes(field.size());
     plan.forward(field.data(), modes.data());
     std::vector<double> out(field.size());
     for (auto _ : bm) {
@@ -183,8 +182,25 @@ BM_DctInverse64(benchmark::State &bm)
         benchmark::ClobberMemory();
     }
 }
-BENCHMARK_TEMPLATE(BM_DctInverse64, double)->Apply(microBench);
-BENCHMARK_TEMPLATE(BM_DctInverse64, float)->Apply(microBench);
+BENCHMARK(BM_DctInverse64)->Apply(microBench);
+
+/**
+ * The spectral mode sweep alone: one 80 us step of a raw solver on the
+ * default grid, with no ingest or publish transform.
+ */
+static void
+BM_SpectralStep(benchmark::State &bm)
+{
+    const Floorplan fp = buildSkylakeFloorplan();
+    const ThermalGrid grid(fp, ThermalParams{});
+    SpectralThermalSolver solver(grid.spectralNetwork());
+    solver.setPower(std::vector<Watts>(grid.numCells(), 0.01));
+    for (auto _ : bm) {
+        solver.step(kTelemetryStep);
+        benchmark::DoNotOptimize(solver.sinkTemp());
+    }
+}
+BENCHMARK(BM_SpectralStep)->Apply(microBench);
 
 /**
  * One spectral cycle as the pipeline runs it: ingest a power vector

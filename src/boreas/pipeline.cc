@@ -74,32 +74,21 @@ SimulationPipeline::meanUnitPower(const WorkloadSource &source,
                                           config_.thermal.ambient + 20.0);
 
     constexpr int kProbeSteps = 64;
+    const std::vector<double> nominal(ncores, 1.0);
     std::vector<Watts> acc(floorplan_.numUnits(), 0.0);
     for (int s = 0; s < kProbeSteps; ++s) {
-        std::vector<Watts> p;
-        if (ncores == 1) {
-            const PhaseParams phase = probe->stimulus(0).phase;
-            const CounterSet counters = core_.step(
-                phase, freq, config_.stepLength, probe->noiseRng(0));
-            p = power_.unitPower(
-                counters, config_.activeCore, /*intensity=*/1.0, freq,
-                volts, warm_temps, config_.stepLength);
-        } else {
-            std::vector<CounterSet> counters(ncores);
-            std::vector<const CounterSet *> ptrs(ncores, nullptr);
-            const std::vector<double> nominal(ncores, 1.0);
-            for (int c = 0; c < ncores; ++c) {
-                const CoreStimulus stim = probe->stimulus(c);
-                if (!stim.active)
-                    continue;
-                counters[c] = core_.step(stim.phase, freq,
-                                         config_.stepLength,
-                                         probe->noiseRng(c));
-                ptrs[c] = &counters[c];
-            }
-            p = power_.unitPowerMulti(ptrs, nominal, freq, volts,
-                                      warm_temps, config_.stepLength);
+        std::vector<CounterSet> counters(ncores);
+        std::vector<const CounterSet *> ptrs(ncores, nullptr);
+        for (int c = 0; c < ncores; ++c) {
+            const CoreStimulus stim = probe->stimulus(c);
+            if (!stim.active)
+                continue;
+            counters[c] = core_.step(stim.phase, freq, config_.stepLength,
+                                     probe->noiseRng(c));
+            ptrs[c] = &counters[c];
         }
+        const std::vector<Watts> p = power_.unitPowerMulti(
+            ptrs, nominal, freq, volts, warm_temps, config_.stepLength);
         for (size_t i = 0; i < acc.size(); ++i)
             acc[i] += p[i];
         probe->advance(config_.stepLength);
@@ -233,23 +222,13 @@ SimulationPipeline::step(GHz freq)
     const std::vector<Celsius> &unit_temps = grid_.unitTemps();
     {
         obs::ScopedTimer timer("stage.power");
-        // Single-core runs keep the original power path so their
-        // floating-point op order (hence runHash) is unchanged.
-        std::vector<Watts> unit_power;
-        if (ncores == 1 && stimuli[0].active) {
-            unit_power = power_.unitPower(
-                rec.counters, config_.activeCore, residuals[0], freq,
-                volts, unit_temps, config_.stepLength);
-        } else {
-            std::vector<const CounterSet *> ptrs(ncores, nullptr);
-            for (int c = 0; c < ncores; ++c) {
-                if (stimuli[c].active)
-                    ptrs[c] = &core_counters[c];
-            }
-            unit_power = power_.unitPowerMulti(ptrs, residuals, freq,
-                                               volts, unit_temps,
-                                               config_.stepLength);
+        std::vector<const CounterSet *> ptrs(ncores, nullptr);
+        for (int c = 0; c < ncores; ++c) {
+            if (stimuli[c].active)
+                ptrs[c] = &core_counters[c];
         }
+        const std::vector<Watts> unit_power = power_.unitPowerMulti(
+            ptrs, residuals, freq, volts, unit_temps, config_.stepLength);
         rec.totalPower = PowerModel::totalPower(unit_power);
         grid_.setUnitPower(unit_power);
     }
@@ -258,7 +237,7 @@ SimulationPipeline::step(GHz freq)
         obs::ScopedTimer timer("stage.thermal");
         // Nested split so BENCH artifacts can attribute the stage to
         // the configured integrator (stage.thermal.explicit vs
-        // stage.thermal.spectral vs stage.thermal.surrogate).
+        // stage.thermal.spectral).
         obs::ScopedTimer split(grid_.solverTimerName());
         grid_.step(config_.stepLength);
     }
@@ -305,17 +284,13 @@ SimulationPipeline::step(GHz freq)
         hasher.add(rec.sensorTrue);
         hasher.add(grid_.siliconTemps());
         hasher.add(grid_.sinkTemp());
-        // Multi-core sources append the other cores' telemetry (and
-        // activity) after the legacy fields, leaving every
-        // single-core hash byte-identical to earlier releases.
-        if (ncores > 1) {
-            for (int c = 1; c < ncores; ++c) {
-                for (double v : rec.coreCounters[c].values)
-                    hasher.add(v);
-            }
-            for (int c = 0; c < ncores; ++c)
-                hasher.add(static_cast<int>(stimuli[c].active));
+        // The other cores' telemetry, then every core's activity.
+        for (int c = 1; c < ncores; ++c) {
+            for (double v : core_counters[c].values)
+                hasher.add(v);
         }
+        for (int c = 0; c < ncores; ++c)
+            hasher.add(static_cast<int>(stimuli[c].active));
         rec.stateHash = hasher.digest();
 
         Fnv1a combine;

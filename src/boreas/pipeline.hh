@@ -49,6 +49,10 @@ struct PipelineConfig
     CoreParams core{};
     SensorParams sensors{};   ///< applied to every canonical sensor
 
+    /**
+     * Core whose canonical sensor sites the bank samples. Power always
+     * follows the source: its core c drives floorplan core c.
+     */
     int activeCore = 0;
     Seconds stepLength = kTelemetryStep;
 
@@ -67,8 +71,8 @@ struct StepRecord
     CounterSet counters;
     /**
      * Per-core telemetry when the source drives several cores
-     * (coreCounters[0] duplicates `counters`); left empty on
-     * single-core runs so their records stay unchanged.
+     * (coreCounters[0] duplicates `counters`); empty on single-core
+     * runs, where `counters` is the whole story.
      */
     std::vector<CounterSet> coreCounters;
     Watts totalPower = 0.0;
@@ -77,10 +81,11 @@ struct StepRecord
     std::vector<Celsius> sensorTrue;     ///< instantaneous at the sites
 
     /**
-     * FNV-1a over this step's full observable state (counters, power,
-     * severity, sensors) plus the silicon temperature field — the
-     * bitwise fingerprint the determinism audit compares across
-     * thread counts (DESIGN.md §7).
+     * FNV-1a over this step's full observable state (every core's
+     * counters and activity, power, severity, sensors) plus the
+     * silicon temperature field — the bitwise fingerprint the
+     * determinism audit compares across thread counts (DESIGN.md §7).
+     * One layout for every core count.
      */
     uint64_t stateHash = 0;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -26,7 +25,6 @@ constexpr double kPi = 3.14159265358979323846;
  * double-typed StripSlot storage is read and written as strips.
  */
 typedef double Strip __attribute__((vector_size(64), aligned(64)));
-typedef float StripF __attribute__((vector_size(32)));
 constexpr int kLanes = 8;
 /** Multiplier that halves lane 0 only (times 1.0 is exact). */
 constexpr Strip kHalveLane0 = {0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
@@ -47,12 +45,14 @@ log2Of(int n)
 }
 
 /**
- * p[l] = v[l] for the first `lanes` lanes. The full-strip case keeps a
- * constant trip count, which GCC emits as whole vector stores.
+ * Write the first `lanes` lanes of `v` to p[0..lanes). Every strip
+ * store goes through here, lane by lane: a whole-vector store of a
+ * 512-bit value bounces through the stack wherever the target lacks
+ * 512-bit registers. The full-strip case keeps a constant trip count,
+ * which GCC emits as whole vector stores.
  */
-template <typename T, typename V>
 void
-storeLanes(T *p, const V &v, int lanes)
+put(double *p, const Strip &v, int lanes = kLanes)
 {
     if (lanes == kLanes) {
         for (int l = 0; l < kLanes; ++l)
@@ -61,22 +61,6 @@ storeLanes(T *p, const V &v, int lanes)
         for (int l = 0; l < lanes; ++l)
             p[l] = v[l];
     }
-}
-
-/**
- * Write the first `lanes` lanes of `v` to p[0..lanes), narrowing to T.
- * Every strip store goes through here, lane by lane: a whole-vector
- * store of a 512-bit value bounces through the stack wherever the
- * target lacks 512-bit registers.
- */
-template <typename T>
-void
-put(T *p, const Strip &v, int lanes = kLanes)
-{
-    if constexpr (std::is_same_v<T, double>)
-        storeLanes(p, v, lanes);
-    else
-        storeLanes(p, __builtin_convertvector(v, StripF), lanes);
 }
 
 /** Sweep output into a scratch strip array. */
@@ -480,31 +464,20 @@ denseApply(int n, const double *mat, const Strip *a, const Out &out)
 }
 
 /**
- * Load `lanes` contiguous values from `p` into the scratch strip `dst`,
- * widening float input; missing lanes are zero.
+ * Load `lanes` contiguous values from `p` into the scratch strip `dst`;
+ * missing lanes are zero.
  */
-template <typename T>
 void
-loadStrip(Strip *dst, const T *p, int lanes)
+loadStrip(Strip *dst, const double *p, int lanes)
 {
     // A full strip is one fixed-size memcpy, i.e. a single vector load
     // on every target; a lane loop would assemble it piece by piece.
-    if constexpr (std::is_same_v<T, double>) {
-        Strip v = {};
-        if (lanes == kLanes)
-            std::memcpy(&v, p, sizeof(v));
-        else
-            std::memcpy(&v, p, lanes * sizeof(T));
-        put(reinterpret_cast<double *>(dst), v);
-    } else {
-        StripF v = {};
-        if (lanes == kLanes)
-            std::memcpy(&v, p, sizeof(v));
-        else
-            std::memcpy(&v, p, lanes * sizeof(T));
-        put(reinterpret_cast<double *>(dst),
-            __builtin_convertvector(v, Strip));
-    }
+    Strip v = {};
+    if (lanes == kLanes)
+        std::memcpy(&v, p, sizeof(v));
+    else
+        std::memcpy(&v, p, lanes * sizeof(double));
+    put(reinterpret_cast<double *>(dst), v);
 }
 
 /** Store the first `lanes` lanes of `v` down a column of stride `str`. */
@@ -622,9 +595,17 @@ Dct2Plan::strips(const Axis &ax, int batch, bool halve_first,
     }
 }
 
-template <typename TDst>
-void
-Dct2Plan::forwardImpl(const double *field, TDst *modes)
+/*
+ * The two entry points are the dispatch boundary: each clone inlines
+ * the whole strip machinery (flatten), so the AVX-512 clone runs every
+ * sweep on 512-bit vectors while the baseline clone splits them.
+ */
+#define BOREAS_DCT_ENTRY \
+    BOREAS_TARGET_CLONES("avx512f", "avx2", "default") \
+    __attribute__((flatten))
+
+BOREAS_DCT_ENTRY void
+Dct2Plan::forward(const double *field, double *modes)
 {
     static_assert(kStripLanes == kLanes);
     double *w = fieldScratch_.data();
@@ -641,7 +622,7 @@ Dct2Plan::forwardImpl(const double *field, TDst *modes)
             storeColumn(w + x0 * ny + ky, ny, v, lanes);
         });
     // Pass 2 transforms along x, strips of ky columns of w, into
-    // modes[kx*ny + ky] (narrowing only here when TDst is float).
+    // modes[kx*ny + ky].
     strips<false>(
         ax_, ny_, false,
         [&](Strip *v, int x, int ky0, int lanes) {
@@ -652,18 +633,17 @@ Dct2Plan::forwardImpl(const double *field, TDst *modes)
         });
 }
 
-template <typename TSrc>
-void
-Dct2Plan::inverseImpl(const TSrc *modes, double *field)
+BOREAS_DCT_ENTRY void
+Dct2Plan::inverse(const double *modes, double *field)
 {
     double *w = fieldScratch_.data();
     const size_t nx = nx_;
     const size_t ny = ny_;
     const double scale = 4.0 / (static_cast<double>(nx_) * ny_);
     // Mirror of forward(): undo the x pass (halving coefficient kx=0)
-    // over strips of ky columns, widening float modes on load; the
-    // final store transposes to w[ky*nx + x] and folds in the 2/n-per-
-    // axis scale of the true inverse and the ky=0 halving.
+    // over strips of ky columns; the final store transposes to
+    // w[ky*nx + x] and folds in the 2/n-per-axis scale of the true
+    // inverse and the ky=0 halving.
     strips<true>(
         ax_, ny_, true,
         [&](Strip *v, int kx, int ky0, int lanes) {
@@ -684,39 +664,6 @@ Dct2Plan::inverseImpl(const TSrc *modes, double *field)
         [&](int y, int x0, int lanes, const Strip &v) {
             put(field + y * nx + x0, v, lanes);
         });
-}
-
-/*
- * The four entry points are the dispatch boundary: each clone inlines
- * the whole strip machinery (flatten), so the AVX-512 clone runs every
- * sweep on 512-bit vectors while the baseline clone splits them.
- */
-#define BOREAS_DCT_ENTRY \
-    BOREAS_TARGET_CLONES("avx512f", "avx2", "default") \
-    __attribute__((flatten))
-
-BOREAS_DCT_ENTRY void
-Dct2Plan::forward(const double *field, double *modes)
-{
-    forwardImpl(field, modes);
-}
-
-BOREAS_DCT_ENTRY void
-Dct2Plan::forward(const double *field, float *modes)
-{
-    forwardImpl(field, modes);
-}
-
-BOREAS_DCT_ENTRY void
-Dct2Plan::inverse(const double *modes, double *field)
-{
-    inverseImpl(modes, field);
-}
-
-BOREAS_DCT_ENTRY void
-Dct2Plan::inverse(const float *modes, double *field)
-{
-    inverseImpl(modes, field);
 }
 
 } // namespace boreas

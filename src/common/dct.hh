@@ -28,7 +28,7 @@
  * whole sweep sequence in two L1-resident scratch arrays, and the
  * transpose between the two axis passes is folded into the first
  * pass's final store. Other lengths fall back to a dense cosine matrix
- * multiply over the same strips. The four entry points are dispatched
+ * multiply over the same strips. The two entry points are dispatched
  * to AVX-512 / AVX2 / baseline clones that all produce the same bits
  * (DESIGN.md §9.4, §9.6). Instances carry scratch buffers and are NOT
  * thread-safe; give each thread (each ThermalGrid) its own plan.
@@ -54,21 +54,15 @@ class Dct2Plan
     /**
      * Forward unnormalized 2-D DCT-II. `field` is row-major
      * [y*nx + x]; `modes` is written as [kx*ny + ky]. The two arrays
-     * must not alias. The float overload rounds only the final store
-     * (all internal arithmetic stays double) — it exists for callers
-     * that keep their mode-space state in single precision.
+     * must not alias.
      */
     void forward(const double *field, double *modes);
-    void forward(const double *field, float *modes);
 
     /**
      * Exact inverse of forward() (scaled DCT-III), modes -> field.
-     * `modes` is left untouched; the arrays must not alias. The float
-     * overload widens each coefficient on first read and computes in
-     * double throughout.
+     * `modes` is left untouched; the arrays must not alias.
      */
     void inverse(const double *modes, double *field);
-    void inverse(const float *modes, double *field);
 
     /**
      * Eigenvalue lam(k) = 2 - 2 cos(pi k / n) of the *negated* 1-D
@@ -126,11 +120,6 @@ class Dct2Plan
     template <bool Inverse, typename Load, typename Store>
     void strips(const Axis &ax, int batch, bool halve_first,
                 const Load &load, const Store &store);
-
-    template <typename TDst>
-    void forwardImpl(const double *field, TDst *modes);
-    template <typename TSrc>
-    void inverseImpl(const TSrc *modes, double *field);
 
     int nx_;
     int ny_;

@@ -26,9 +26,9 @@ struct RunManifest
     /** Parallel lanes the run was executed with. */
     int threads = 1;
     /**
-     * Thermal integrator the run used ("explicit" / "spectral" /
-     * "surrogate"); "" when the bench predates solver selection or
-     * does not run the thermal stage.
+     * Thermal integrator the run used ("explicit" / "spectral"); ""
+     * when the bench predates solver selection or does not run the
+     * thermal stage.
      */
     std::string thermalSolver;
     /**

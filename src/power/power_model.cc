@@ -166,46 +166,6 @@ PowerModel::dutyOf(UnitKind kind, const CounterSet &c)
 }
 
 std::vector<Watts>
-PowerModel::unitPower(const CounterSet &counters, int active_core,
-                      double intensity, GHz freq, Volts volts,
-                      const std::vector<Celsius> &unit_temps,
-                      Seconds dt) const
-{
-    const auto &units = floorplan_->units();
-    boreas_assert(unit_temps.size() == units.size(),
-                  "unit temp vector size %zu != %zu units",
-                  unit_temps.size(), units.size());
-    boreas_assert(dt > 0.0 && freq > 0.0 && volts > 0.0,
-                  "bad operating point");
-
-    const double vsq = (volts / params_.vNom) * (volts / params_.vNom);
-    const double fscale = freq / params_.fRef;
-
-    std::vector<Watts> power(units.size(), 0.0);
-    for (size_t i = 0; i < units.size(); ++i) {
-        const FunctionalUnit &u = units[i];
-        double p = 0.0;
-
-        const bool active = (u.coreId == active_core) || (u.coreId < 0);
-        if (active) {
-            // Event-driven switching energy.
-            p += eventEnergy(u.kind, counters) * intensity *
-                params_.activityScale * vsq / dt;
-            // Clock/pipeline power proportional to duty.
-            p += dutyOf(u.kind, counters) * clockPower(u.kind) * vsq *
-                fscale * intensity;
-        }
-        // Residual clocking (idle cores and gated units).
-        p += idlePower(u.kind) * vsq * fscale;
-        // Leakage with electrothermal feedback.
-        p += leakagePower(static_cast<int>(i), unit_temps[i], volts);
-
-        power[i] = p;
-    }
-    return power;
-}
-
-std::vector<Watts>
 PowerModel::unitPowerMulti(
     const std::vector<const CounterSet *> &core_counters,
     const std::vector<double> &intensities, GHz freq, Volts volts,

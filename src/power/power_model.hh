@@ -44,8 +44,8 @@ struct PowerModelParams
 };
 
 /**
- * Computes per-functional-unit power for the active core, idle cores
- * and uncore from one interval's telemetry.
+ * Computes per-functional-unit power for active cores, idle cores and
+ * uncore from one interval's telemetry.
  */
 class PowerModel
 {
@@ -58,32 +58,21 @@ class PowerModel
     /**
      * Power of every floorplan unit for one interval.
      *
-     * @param counters telemetry of the active core over the interval
-     * @param active_core id of the core running the workload
-     * @param intensity residual (counter-invisible) energy-per-event
-     *        multiplier for the interval; 1.0 nominal. Workload-level
-     *        activity scaling is already inside the counters.
+     * @param core_counters core c's telemetry for the interval, or
+     *        nullptr if the core idles; cores past its size idle
+     * @param intensities residual (counter-invisible) energy-per-event
+     *        multiplier of each core for the interval; 1.0 nominal.
+     *        Workload-level activity scaling is already inside the
+     *        counters.
      * @param freq core clock (GHz)
      * @param volts supply voltage
      * @param unit_temps current temperature of each unit (for leakage)
      * @param dt interval length, seconds
      * @return watts per unit, indexed like Floorplan::units()
-     */
-    std::vector<Watts> unitPower(const CounterSet &counters,
-                                 int active_core, double intensity,
-                                 GHz freq, Volts volts,
-                                 const std::vector<Celsius> &unit_temps,
-                                 Seconds dt) const;
-
-    /**
-     * Power of every floorplan unit with several cores executing at
-     * once (mix:/adversarial: sources). `core_counters[c]` is core
-     * c's telemetry for the interval, or nullptr if the core idles;
-     * `intensities[c]` is its residual energy multiplier. Cores past
-     * core_counters.size() idle. Shared uncore units accumulate every
-     * active core's event energy, and their clock duty saturates at
-     * the busiest requester. The single-core unitPower() overload
-     * remains the (bit-exact) path when only one core runs.
+     *
+     * Per-core units draw from their own core's telemetry. Shared
+     * uncore units accumulate every active core's event energy, and
+     * their clock duty saturates at the busiest requester.
      */
     std::vector<Watts>
     unitPowerMulti(const std::vector<const CounterSet *> &core_counters,

@@ -132,22 +132,18 @@ solve3(const double *a_in, const double *b_in, double *x)
 
 /**
  * Dispatch the mode sweep through GCC's function multi-versioning on
- * x86-64 (common/simd.hh): the resolver picks an AVX2+FMA clone at
- * load time when the host supports it (the narrow->wide converts on
- * the float streams are what the 128-bit baseline bottlenecks on),
- * with the portable clone as fallback. This is the one dispatched
- * kernel allowed to contract into FMAs, so it is the one place the
- * spectral path is not bitwise identical across hosts; its accuracy
- * contract is the error bound, not bitwise equality. The explicit
- * stencil gets no clones at all.
+ * x86-64 (common/simd.hh), with the DCT's clone list. The sweep is
+ * per-lane multiplies and adds only, and the file is built with
+ * -ffp-contract=off, so every clone produces the same bits
+ * (DESIGN.md §9.6).
  */
-BOREAS_TARGET_CLONES("avx2,fma", "default") void
+BOREAS_TARGET_CLONES("avx512f", "avx2", "default") void
 sweepModes(int nx, int ny, const double *__restrict lamX,
            const double *__restrict ly, double dd_base, double ddl,
-           double a12, double a21, const float *__restrict ch,
-           const float *__restrict sh, const float *__restrict gp1,
-           const float *__restrict gp2, float *__restrict zsi,
-           float *__restrict zsp)
+           double a12, double a21, const double *__restrict ch,
+           const double *__restrict sh, const double *__restrict g1,
+           const double *__restrict g2, const double *__restrict ph,
+           double *__restrict zsi, double *__restrict zsp)
 {
     for (int kx = 0; kx < nx; ++kx) {
         // dd(lam) is affine, so fold the kx part into the base once.
@@ -161,10 +157,9 @@ sweepModes(int nx, int ny, const double *__restrict lamX,
             const double c = ch[m];
             const double s = sh[m];
             const double sdd = s * dd;
-            zsi[m] = static_cast<float>(
-                (c + sdd) * si + (s * a12) * sp + gp1[m]);
-            zsp[m] = static_cast<float>(
-                (s * a21) * si + (c - sdd) * sp + gp2[m]);
+            const double p = ph[m];
+            zsi[m] = (c + sdd) * si + (s * a12) * sp + g1[m] * p;
+            zsp[m] = (s * a21) * si + (c - sdd) * sp + g2[m] * p;
         }
     }
 }
@@ -186,11 +181,9 @@ SpectralThermalSolver::SpectralThermalSolver(const SpectralNetwork &net)
         lamX_[kx] = Dct2Plan::laplacianEigenvalue(kx, net_.nx);
     for (int ky = 0; ky < net_.ny; ++ky)
         lamY_[ky] = Dct2Plan::laplacianEigenvalue(ky, net_.ny);
-    zSi_.assign(n_, 0.0f);
-    zSp_.assign(n_, 0.0f);
+    zSi_.assign(n_, 0.0);
+    zSp_.assign(n_, 0.0);
     phat_.assign(n_, 0.0);
-    gp1_.assign(n_, 0.0f);
-    gp2_.assign(n_, 0.0f);
     tSink_ = net_.ambient;
 }
 
@@ -204,8 +197,6 @@ SpectralThermalSolver::loadState(const std::vector<Celsius> &si,
                   "state size mismatch");
     dct_.forward(si.data(), zSi_.data());
     dct_.forward(sp.data(), zSp_.data());
-    z0Si_ = zSi_[0];
-    z0Sp_ = zSp_[0];
     tSink_ = sink;
 }
 
@@ -215,23 +206,6 @@ SpectralThermalSolver::setPower(const std::vector<Watts> &cell_power)
     boreas_assert(cell_power.size() == static_cast<size_t>(n_),
                   "power size mismatch");
     dct_.forward(cell_power.data(), phat_.data());
-    if (planDt_ > 0.0)
-        refreshForcing();
-}
-
-/** Refold phat * (G1, G2) into the per-mode forcing arrays. */
-void
-SpectralThermalSolver::refreshForcing()
-{
-    const double *__restrict g1 = g1_.data();
-    const double *__restrict g2 = g2_.data();
-    const double *__restrict ph = phat_.data();
-    float *__restrict gp1 = gp1_.data();
-    float *__restrict gp2 = gp2_.data();
-    for (int m = 0; m < n_; ++m) {
-        gp1[m] = static_cast<float>(g1[m] * ph[m]);
-        gp2[m] = static_cast<float>(g2[m] * ph[m]);
-    }
 }
 
 void
@@ -280,8 +254,8 @@ SpectralThermalSolver::buildPlan(Seconds dt)
     const double csi = net_.cSi;
     const double csp = net_.cSp;
 
-    ch_.assign(n_, 1.0f);
-    sh_.assign(n_, 0.0f);
+    ch_.assign(n_, 1.0);
+    sh_.assign(n_, 0.0);
     g1_.assign(n_, 0.0);
     g2_.assign(n_, 0.0);
     offDiag12_ = gv / csi;
@@ -318,8 +292,8 @@ SpectralThermalSolver::buildPlan(Seconds dt)
         const double f11 = (a22 * m11 - a12 * m21) / det;
         const double f21 = (a11 * m21 - a21 * m11) / det;
 
-        ch_[m] = static_cast<float>(ch);
-        sh_[m] = static_cast<float>(sh);
+        ch_[m] = ch;
+        sh_[m] = sh;
         g1_[m] = f11 / csi;
         g2_[m] = f21 / csi;
     }
@@ -355,7 +329,6 @@ SpectralThermalSolver::buildPlan(Seconds dt)
     d0_[2] = f0[8] * amb;
 
     planDt_ = dt;
-    refreshForcing();
 }
 
 void
@@ -366,24 +339,22 @@ SpectralThermalSolver::step(Seconds dt)
         buildPlan(dt);
 
     // Mode 0 rides through the sweep unchanged (ch = 1, sh = 0,
-    // gp = 0); the 3x3 sink update below advances its double master
-    // copy and refreshes the float mirror.
+    // G = 0); the 3x3 sink update below advances it in place.
     sweepModes(net_.nx, net_.ny, lamX_.data(), lamY_.data(), ddBase_,
                ddLam_, offDiag12_, offDiag21_, ch_.data(), sh_.data(),
-               gp1_.data(), gp2_.data(), zSi_.data(), zSp_.data());
+               g1_.data(), g2_.data(), phat_.data(), zSi_.data(),
+               zSp_.data());
 
-    const double z0 = z0Si_;
-    const double z1 = z0Sp_;
+    const double z0 = zSi_[0];
+    const double z1 = zSp_[0];
     const double z2 = sqrtN_ * tSink_;
     const double p0 = phat_[0];
-    z0Si_ = e0_[0] * z0 + e0_[1] * z1 + e0_[2] * z2 + c0_[0] * p0 +
-            d0_[0];
-    z0Sp_ = e0_[3] * z0 + e0_[4] * z1 + e0_[5] * z2 + c0_[1] * p0 +
-            d0_[1];
+    zSi_[0] = e0_[0] * z0 + e0_[1] * z1 + e0_[2] * z2 + c0_[0] * p0 +
+              d0_[0];
+    zSp_[0] = e0_[3] * z0 + e0_[4] * z1 + e0_[5] * z2 + c0_[1] * p0 +
+              d0_[1];
     tSink_ = (e0_[6] * z0 + e0_[7] * z1 + e0_[8] * z2 + c0_[2] * p0 +
               d0_[2]) / sqrtN_;
-    zSi_[0] = static_cast<float>(z0Si_);
-    zSp_[0] = static_cast<float>(z0Sp_);
 }
 
 } // namespace boreas

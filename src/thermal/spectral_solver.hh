@@ -86,7 +86,6 @@ class SpectralThermalSolver
 
   private:
     void buildPlan(Seconds dt);
-    void refreshForcing();
 
     SpectralNetwork net_;
     int n_ = 0;          ///< nx * ny modes
@@ -97,46 +96,31 @@ class SpectralThermalSolver
     std::vector<double> lamX_;
     std::vector<double> lamY_;
 
-    // Mode-space state and drive. The per-mode state is held in
-    // single precision (the step sweep is bandwidth-bound on it; the
-    // realize DCTs read it once, widening each strip as it is loaded;
-    // all update arithmetic stays double).
-    // Mode 0 is the exception: it is the field mean coupled to the
-    // sink, whose contraction per telemetry step is ~1e-5 — slow
-    // enough that repeated float rounding could accumulate — so its
-    // master copy lives in the double scalars z0Si_/z0Sp_ and the
-    // array slots only mirror it for the realize transforms.
-    std::vector<float> zSi_;
-    std::vector<float> zSp_;
-    double z0Si_ = 0.0;
-    double z0Sp_ = 0.0;
+    // Mode-space state and drive, all double. Mode 0 (the field sums)
+    // rides through the sweep unchanged and is advanced in place by
+    // the 3x3 sink-coupled update.
+    std::vector<double> zSi_;
+    std::vector<double> zSp_;
     std::vector<double> phat_;
     Celsius tSink_ = 0.0;
 
     // Cached per-dt exponential coefficients, SoA over modes != 0:
-    // (zsi', zsp') = E * (zsi, zsp) + phat * (G1, G2). The step sweep
-    // is bandwidth-bound on these arrays, so the plan is kept lean:
+    // (zsi', zsp') = E * (zsi, zsp) + phat * (G1, G2). The plan is
+    // kept lean:
     //
     //   - E is reconstructed per mode from two streamed arrays plus
     //     cheap L1-resident data: E11 = ch + sh * dd,
     //     E22 = ch - sh * dd, E12 = sh * a12, E21 = sh * a21, where
     //     a12/a21 are mode-independent and dd = ddBase_ + ddLam_ * lam
     //     is affine in the eigenvalue (rebuilt from lamX_/lamY_);
-    //   - the forcing product phat * G is folded into gp1_/gp2_
-    //     whenever the power or the plan changes;
-    //   - the streamed arrays are stored in single precision (the
-    //     state and all arithmetic stay double; the ~6e-8 coefficient
-    //     quantization amplifies to at most ~1e-3 C on the slowest
-    //     modes — see DESIGN.md §9.5, and the per-step exactness gate
-    //     in bench/thermal_solver.cc bounds it empirically).
+    //   - the forcing phat * G is formed in the sweep, since the
+    //     pipeline sets a new power map before nearly every step.
     Seconds planDt_ = 0.0;
     double offDiag12_ = 0.0; ///< a12 = gVert / cSi
     double offDiag21_ = 0.0; ///< a21 = gVert / cSp
     double ddBase_ = 0.0;    ///< dd at lam = 0
     double ddLam_ = 0.0;     ///< d(dd)/d(lam)
-    std::vector<float> ch_, sh_;
-    std::vector<double> g1_, g2_;
-    std::vector<float> gp1_, gp2_;
+    std::vector<double> ch_, sh_, g1_, g2_;
     // Mode 0 (sums + balanced sink w = sqrt(n) * tSink):
     // z0' = E0 z0 + phat0 * c0 + d0.
     double e0_[9] = {};

@@ -9,7 +9,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "thermal/spectral_solver.hh"
-#include "thermal/surrogate.hh"
 
 namespace
 {
@@ -71,8 +70,6 @@ thermalSolverName(ThermalSolverKind kind)
     switch (kind) {
     case ThermalSolverKind::Spectral:
         return "spectral";
-    case ThermalSolverKind::Surrogate:
-        return "surrogate";
     case ThermalSolverKind::Explicit:
         break;
     }
@@ -86,10 +83,8 @@ parseThermalSolverName(const std::string &name)
         return ThermalSolverKind::Explicit;
     if (name == "spectral")
         return ThermalSolverKind::Spectral;
-    if (name == "surrogate")
-        return ThermalSolverKind::Surrogate;
     boreas_fatal("unknown thermal solver '%s' "
-                 "(want explicit|spectral|surrogate)", name.c_str());
+                 "(want explicit|spectral)", name.c_str());
 }
 
 ThermalGrid::ThermalGrid(const Floorplan &floorplan,
@@ -135,21 +130,10 @@ ThermalGrid::solverTimerName() const
     switch (params_.solver) {
     case ThermalSolverKind::Spectral:
         return "stage.thermal.spectral";
-    case ThermalSolverKind::Surrogate:
-        return "stage.thermal.surrogate";
     case ThermalSolverKind::Explicit:
         break;
     }
     return "stage.thermal.explicit";
-}
-
-void
-ThermalGrid::setSurrogate(ThermalSurrogate *surrogate)
-{
-    boreas_assert(params_.solver == ThermalSolverKind::Surrogate,
-                  "setSurrogate() on a grid running the %s solver",
-                  thermalSolverName(params_.solver));
-    surrogate_ = surrogate;
 }
 
 void
@@ -272,11 +256,6 @@ ThermalGrid::step(Seconds dt)
         break;
     case ThermalSolverKind::Spectral:
         spectralStep(dt);
-        break;
-    case ThermalSolverKind::Surrogate:
-        boreas_assert(surrogate_ != nullptr,
-                      "surrogate solver selected but none attached");
-        surrogate_->step(pCell_, dt, tSi_, tSp_, tSink_);
         break;
     }
     stepped_ = true;

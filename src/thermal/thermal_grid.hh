@@ -18,7 +18,7 @@
  * constants of ~50 us, which is what makes *advanced* hotspots: local
  * heating on the microsecond scale, far faster than sensor+DVFS loops.
  *
- * Three interchangeable transient integrators (ThermalParams::solver):
+ * Two interchangeable transient integrators (ThermalParams::solver):
  *
  *   Explicit  — the reference: forward Euler with substeps bounded by
  *               the network stability limit. Bit-exact across releases
@@ -29,8 +29,6 @@
  *               (thermal/spectral_solver.hh, DESIGN.md §9). In checked
  *               builds every step is shadow-verified against the
  *               explicit reference within spectralShadowTolerance.
- *   Surrogate — a seam for a learned one-step model
- *               (thermal/surrogate.hh); attach with setSurrogate().
  *
  * A closed-form steady-state solve in the same DCT basis (one forward
  * and two inverse transforms) provides warm-start initial conditions
@@ -52,17 +50,15 @@ namespace boreas
 class Dct2Plan;
 class SpectralThermalSolver;
 struct SpectralNetwork;
-class ThermalSurrogate;
 
 /** Which transient integrator a ThermalGrid runs (see file comment). */
 enum class ThermalSolverKind
 {
     Explicit,
     Spectral,
-    Surrogate,
 };
 
-/** Lower-case name of a solver kind ("explicit" / "spectral" / ...). */
+/** Lower-case name of a solver kind ("explicit" / "spectral"). */
 const char *thermalSolverName(ThermalSolverKind kind);
 
 /** Parse a solver name; boreas_fatal on anything unknown. */
@@ -139,13 +135,6 @@ class ThermalGrid
 
     /** Stage-timer name of the active solver (a string literal). */
     const char *solverTimerName() const;
-
-    /**
-     * Attach the learned backend for ThermalSolverKind::Surrogate
-     * (non-owning; must outlive the grid). Stepping a surrogate grid
-     * without one attached panics.
-     */
-    void setSurrogate(ThermalSurrogate *surrogate);
 
     /** Largest stable explicit substep (with the safety factor). */
     Seconds maxStableDt() const { return dtMax_; }
@@ -285,7 +274,6 @@ class ThermalGrid
 
     // Solver dispatch.
     std::unique_ptr<SpectralThermalSolver> spectral_;
-    ThermalSurrogate *surrogate_ = nullptr;
     bool modesValid_ = false;       ///< spectral mode state current?
     mutable bool siValid_ = true;   ///< tSi_ current?
     mutable bool spValid_ = true;   ///< tSp_ current?

@@ -30,6 +30,18 @@ struct PowerFixture : public ::testing::Test
         return core.step(p, freq, 80e-6, rng);
     }
 
+    /**
+     * Unit power over one 80 us interval with core 0 running
+     * `counters` (nullptr: every core idles) at ambient temperature.
+     */
+    std::vector<Watts>
+    unitPower(const CounterSet *counters, double intensity, GHz freq,
+              Volts volts)
+    {
+        return model.unitPowerMulti({counters}, {intensity}, freq, volts,
+                                    ambient_temps, 80e-6);
+    }
+
     Floorplan fp;
     PowerModel model;
     std::vector<Celsius> ambient_temps;
@@ -39,8 +51,8 @@ struct PowerFixture : public ::testing::Test
 
 TEST_F(PowerFixture, AllUnitPowersNonNegative)
 {
-    const auto p = model.unitPower(typicalCounters(4.0), 0, 1.0, 4.0,
-                                   0.98, ambient_temps, 80e-6);
+    const CounterSet c = typicalCounters(4.0);
+    const auto p = unitPower(&c, 1.0, 4.0, 0.98);
     ASSERT_EQ(p.size(), fp.numUnits());
     for (Watts w : p)
         EXPECT_GE(w, 0.0);
@@ -48,8 +60,8 @@ TEST_F(PowerFixture, AllUnitPowersNonNegative)
 
 TEST_F(PowerFixture, TotalPowerInPlausibleTurboRange)
 {
-    const auto p = model.unitPower(typicalCounters(4.0), 0, 1.0, 4.0,
-                                   0.98, ambient_temps, 80e-6);
+    const CounterSet c = typicalCounters(4.0);
+    const auto p = unitPower(&c, 1.0, 4.0, 0.98);
     const Watts total = PowerModel::totalPower(p);
     EXPECT_GT(total, 5.0);
     EXPECT_LT(total, 60.0);
@@ -60,10 +72,8 @@ TEST_F(PowerFixture, VoltageSquaredScalingOfDynamicPower)
     // Same counters, two voltages: the dynamic component must scale by
     // (V2/V1)^2. Compare with leakage at fixed temperature subtracted.
     const CounterSet c = typicalCounters(4.0);
-    const auto p1 = model.unitPower(c, 0, 1.0, 4.0, 1.0, ambient_temps,
-                                    80e-6);
-    const auto p2 = model.unitPower(c, 0, 1.0, 4.0, 1.2, ambient_temps,
-                                    80e-6);
+    const auto p1 = unitPower(&c, 1.0, 4.0, 1.0);
+    const auto p2 = unitPower(&c, 1.0, 4.0, 1.2);
     const int alu = fp.findUnit(UnitKind::IntALU, 0);
     const Watts leak1 = model.leakagePower(alu, kAmbient, 1.0);
     const Watts leak2 = model.leakagePower(alu, kAmbient, 1.2);
@@ -95,8 +105,8 @@ TEST_F(PowerFixture, LeakageClampedAboveValidityCeiling)
 
 TEST_F(PowerFixture, IdleCoresDrawMuchLessThanActiveCore)
 {
-    const auto p = model.unitPower(typicalCounters(4.0), 0, 1.0, 4.0,
-                                   0.98, ambient_temps, 80e-6);
+    const CounterSet c = typicalCounters(4.0);
+    const auto p = unitPower(&c, 1.0, 4.0, 0.98);
     auto core_power = [&](int core) {
         Watts acc = 0.0;
         for (size_t i = 0; i < fp.numUnits(); ++i)
@@ -109,12 +119,10 @@ TEST_F(PowerFixture, IdleCoresDrawMuchLessThanActiveCore)
 
 TEST_F(PowerFixture, FpHeavyPhaseShiftsPowerToFpu)
 {
-    const auto p_int = model.unitPower(typicalCounters(4.0, 0.02), 0,
-                                       1.0, 4.0, 0.98, ambient_temps,
-                                       80e-6);
-    const auto p_fp = model.unitPower(typicalCounters(4.0, 0.45), 0,
-                                      1.0, 4.0, 0.98, ambient_temps,
-                                      80e-6);
+    const CounterSet c_int = typicalCounters(4.0, 0.02);
+    const CounterSet c_fp = typicalCounters(4.0, 0.45);
+    const auto p_int = unitPower(&c_int, 1.0, 4.0, 0.98);
+    const auto p_fp = unitPower(&c_fp, 1.0, 4.0, 0.98);
     const int fpu = fp.findUnit(UnitKind::FPU, 0);
     EXPECT_GT(p_fp[fpu], 2.0 * p_int[fpu]);
 }
@@ -127,8 +135,7 @@ TEST_F(PowerFixture, PowerIsAffineInIntensity)
     const CounterSet c = typicalCounters(4.0);
     const int alu = fp.findUnit(UnitKind::IntALU, 0);
     auto alu_power = [&](double intensity) {
-        return model.unitPower(c, 0, intensity, 4.0, 0.98,
-                               ambient_temps, 80e-6)[alu];
+        return unitPower(&c, intensity, 4.0, 0.98)[alu];
     };
     const Watts p1 = alu_power(1.0);
     const Watts p2 = alu_power(2.0);
@@ -147,20 +154,17 @@ TEST_F(PowerFixture, MoreWorkMorePower)
     slow.baseCpi = 2.0;
     const CounterSet cf = core.step(fast, 4.0, 80e-6, rng);
     const CounterSet cs = core.step(slow, 4.0, 80e-6, rng);
-    const Watts pf = PowerModel::totalPower(model.unitPower(
-        cf, 0, 1.0, 4.0, 0.98, ambient_temps, 80e-6));
-    const Watts ps = PowerModel::totalPower(model.unitPower(
-        cs, 0, 1.0, 4.0, 0.98, ambient_temps, 80e-6));
+    const Watts pf =
+        PowerModel::totalPower(unitPower(&cf, 1.0, 4.0, 0.98));
+    const Watts ps =
+        PowerModel::totalPower(unitPower(&cs, 1.0, 4.0, 0.98));
     EXPECT_GT(pf, ps);
 }
 
 TEST_F(PowerFixture, UncoreUnitsAlwaysDraw)
 {
-    // L3 and SoC draw idle power even when no core is marked active.
-    CounterSet zero;
-    zero[Counter::TotalCycles] = 1.0;
-    const auto p = model.unitPower(zero, /*active_core=*/-2, 1.0, 2.0,
-                                   0.64, ambient_temps, 80e-6);
+    // L3 and SoC draw idle power even when no core is active.
+    const auto p = unitPower(nullptr, 1.0, 2.0, 0.64);
     const int l3 = fp.findUnit(UnitKind::L3, -1);
     EXPECT_GT(p[l3], 0.1);
 }

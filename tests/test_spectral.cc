@@ -2,7 +2,7 @@
  * @file
  * Tests for the spectral thermal fast path: the 2-D DCT plan, the
  * mode-space exponential integrator, analytic closed-form solutions
- * for both integrators, and the surrogate seam (DESIGN.md §9).
+ * for both integrators, and solver selection (DESIGN.md §9).
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "common/rng.hh"
 #include "floorplan/skylake.hh"
 #include "thermal/spectral_solver.hh"
-#include "thermal/surrogate.hh"
 #include "thermal/thermal_grid.hh"
 
 using namespace boreas;
@@ -261,31 +260,19 @@ TEST(Dct2Plan, MatchesDirectCosineSumOracle)
         Dct2Plan plan(nx, ny);
         const std::vector<double> field = randomField(nx * ny, 5 + nx);
 
-        // Forward: double modes against the oracle; float modes are
-        // the double result narrowed on the final store.
         std::vector<double> modes(field.size());
-        std::vector<float> modesF(field.size());
         plan.forward(field.data(), modes.data());
-        plan.forward(field.data(), modesF.data());
         expectMatchesOracle(modes, oracleForward(field, nx, ny));
-        for (size_t i = 0; i < modes.size(); ++i)
-            ASSERT_EQ(modesF[i], static_cast<float>(modes[i])) << i;
 
-        // Inverse from double modes, and from float modes widened on
-        // first read (the oracle sees the same widened values).
         std::vector<double> back(field.size());
         plan.inverse(field.data(), back.data());
         expectMatchesOracle(back, oracleInverse(field, nx, ny));
-        std::vector<float> fieldF(field.begin(), field.end());
-        const std::vector<double> widened(fieldF.begin(), fieldF.end());
-        plan.inverse(fieldF.data(), back.data());
-        expectMatchesOracle(back, oracleInverse(widened, nx, ny));
     }
 }
 
 TEST(Dct2Plan, BitwiseGoldenDigests)
 {
-    // FNV-1a digests of the four entry points' outputs, pinned with
+    // FNV-1a digests of the two entry points' outputs, pinned with
     // the batched-sweep implementation that preceded the strip
     // kernels. Every dispatched clone must reproduce them bit for bit
     // (DESIGN.md §9.6); a mismatch means some floating-point operation
@@ -293,29 +280,20 @@ TEST(Dct2Plan, BitwiseGoldenDigests)
     struct Golden
     {
         int n;
-        uint64_t forward, forwardFloat, inverse, inverseFloat;
+        uint64_t forward, inverse;
     };
     for (const Golden &g :
-         {Golden{64, 0xc3e3675128647a06ULL, 0x78ed06fba2b9aae5ULL,
-                 0xdb9ddaf9fc3ba16cULL, 0x4a8b29e9a7198420ULL},
-          Golden{24, 0x5a599b21c590fb66ULL, 0xa549b95c6c5b8d86ULL,
-                 0xdf5a17b84a17daa7ULL, 0xdc8f6727980aab8fULL}}) {
+         {Golden{64, 0xc3e3675128647a06ULL, 0xdb9ddaf9fc3ba16cULL},
+          Golden{24, 0x5a599b21c590fb66ULL, 0xdf5a17b84a17daa7ULL}}) {
         SCOPED_TRACE(testing::Message() << g.n << "x" << g.n);
         Dct2Plan plan(g.n, g.n);
         const std::vector<double> field = randomField(g.n * g.n, 2024);
-        const std::vector<float> fieldF(field.begin(), field.end());
         std::vector<double> modes(field.size());
-        std::vector<float> modesF(field.size());
         std::vector<double> back(field.size());
-        std::vector<double> backF(field.size());
         plan.forward(field.data(), modes.data());
-        plan.forward(field.data(), modesF.data());
         plan.inverse(field.data(), back.data());
-        plan.inverse(fieldF.data(), backF.data());
         EXPECT_EQ(digestOf(modes), g.forward);
-        EXPECT_EQ(digestOf(modesF), g.forwardFloat);
         EXPECT_EQ(digestOf(back), g.inverse);
-        EXPECT_EQ(digestOf(backF), g.inverseFloat);
     }
 }
 
@@ -401,7 +379,7 @@ TEST(SpectralSolver, PerStepDivergenceWithinShadowBound)
 
 TEST(SpectralSolver, WithinBoundOfRefinedReference)
 {
-    // The headline accuracy claim (ISSUE/DESIGN §9.5): against a
+    // The headline accuracy claim (DESIGN.md §9.3): against a
     // 16x-refined explicit reference — whose truncation error is
     // correspondingly 16x smaller, i.e. near-exact — the spectral step
     // is within the documented 0.05 C bound per step (measured
@@ -480,6 +458,71 @@ TEST(SpectralSolver, DeterministicAcrossInstances)
     for (size_t i = 0; i < ta.size(); ++i)
         ASSERT_EQ(ta[i], tb[i]);
     EXPECT_EQ(a.sinkTemp(), b.sinkTemp());
+}
+
+TEST(SpectralThermalSolver, LoadRealizeRoundTripIsExact)
+{
+    // The mode-space state is double end to end, so a load -> realize
+    // round trip is the DCT's own round trip: no precision is lost and
+    // the field mean (mode 0) shifts by roundoff only.
+    const Floorplan fp = buildSkylakeFloorplan();
+    const ThermalGrid grid(fp, ThermalParams{});
+    SpectralThermalSolver solver(grid.spectralNetwork());
+    const int n = grid.numCells();
+    const std::vector<double> si = randomField(n, 41);
+    const std::vector<double> sp = randomField(n, 43);
+    solver.loadState(si, sp, 50.0);
+
+    std::vector<double> back;
+    for (bool silicon : {true, false}) {
+        SCOPED_TRACE(silicon ? "silicon" : "spreader");
+        const std::vector<double> &want = silicon ? si : sp;
+        if (silicon)
+            solver.realizeSilicon(back);
+        else
+            solver.realizeSpreader(back);
+        double max_err = 0.0;
+        double shift = 0.0;
+        for (int i = 0; i < n; ++i) {
+            max_err = std::max(max_err, std::fabs(back[i] - want[i]));
+            shift += back[i] - want[i];
+        }
+        EXPECT_LE(max_err, 1e-12);
+        EXPECT_LE(std::fabs(shift / n), 1e-13);
+    }
+    EXPECT_EQ(solver.sinkTemp(), 50.0);
+}
+
+TEST(SpectralThermalSolver, BitwiseTrajectoryDigest)
+{
+    // FNV-1a digest of a 3000-step spectral trajectory (power redrawn
+    // every decision period, silicon field and sink hashed after each
+    // period). The DCT and the mode sweep are dispatched to the same
+    // AVX-512 / AVX2 / baseline clones, built without FMA
+    // contraction, so every host must reproduce this digest bit for
+    // bit (DESIGN.md §9.6).
+    const Floorplan fp = buildSkylakeFloorplan();
+    ThermalParams p;
+    p.solver = ThermalSolverKind::Spectral;
+    p.spectralShadowCheck = false;
+    ThermalGrid grid(fp, p);
+
+    Rng rng(3000);
+    std::vector<Watts> power(fp.numUnits(), 0.0);
+    Fnv1a h;
+    for (int step = 0; step < 3000; ++step) {
+        if (step % 12 == 0) {
+            for (Watts &w : power)
+                w = rng.uniform(0.0, 8.0);
+            grid.setUnitPower(power);
+        }
+        grid.step(kTelemetryStep);
+        if (step % 12 == 11) {
+            h.add(grid.siliconTemps());
+            h.add(grid.sinkTemp());
+        }
+    }
+    EXPECT_EQ(h.digest(), 0xbb92d66f7f49e258ULL);
 }
 
 // ---------------------------------------------------------------------
@@ -654,89 +697,13 @@ TEST(SpectralShadow, ZeroToleranceFallsBackToExplicitExactly)
 }
 
 // ---------------------------------------------------------------------
-// Surrogate seam
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** Mock backend: deposits power/heat as a fixed offset per step. */
-class RampSurrogate : public ThermalSurrogate
-{
-  public:
-    void
-    step(const std::vector<Watts> &cell_power, Seconds dt,
-         std::vector<Celsius> &si, std::vector<Celsius> &sp,
-         Celsius &sink) override
-    {
-        (void)cell_power;
-        (void)dt;
-        for (Celsius &t : si)
-            t += 1.0;
-        for (Celsius &t : sp)
-            t += 0.5;
-        sink += 0.25;
-        ++calls;
-    }
-
-    int calls = 0;
-};
-
-} // namespace
-
-TEST(SurrogateSeam, GridDispatchesToAttachedBackend)
-{
-    const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams p;
-    p.nx = 16;
-    p.ny = 16;
-    p.solver = ThermalSolverKind::Surrogate;
-    ThermalGrid grid(fp, p);
-    RampSurrogate surrogate;
-    grid.setSurrogate(&surrogate);
-
-    grid.setUnitPower(std::vector<Watts>(fp.numUnits(), 0.0));
-    for (int i = 0; i < 4; ++i)
-        grid.step(kTelemetryStep);
-
-    EXPECT_EQ(surrogate.calls, 4);
-    EXPECT_DOUBLE_EQ(grid.maxSiliconTemp(), kAmbient + 4.0);
-    EXPECT_DOUBLE_EQ(grid.sinkTemp(), kAmbient + 1.0);
-}
-
-using SurrogateSeamDeathTest = ::testing::Test;
-
-TEST(SurrogateSeamDeathTest, SteppingWithoutBackendPanics)
-{
-    const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams p;
-    p.nx = 16;
-    p.ny = 16;
-    p.solver = ThermalSolverKind::Surrogate;
-    ThermalGrid grid(fp, p);
-    EXPECT_DEATH(grid.step(kTelemetryStep), "none attached");
-}
-
-TEST(SurrogateSeamDeathTest, AttachingToWrongSolverPanics)
-{
-    const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams p;
-    p.nx = 16;
-    p.ny = 16;
-    ThermalGrid grid(fp, p);
-    RampSurrogate surrogate;
-    EXPECT_DEATH(grid.setSurrogate(&surrogate), "explicit");
-}
-
-// ---------------------------------------------------------------------
 // Solver selection plumbing
 // ---------------------------------------------------------------------
 
 TEST(SolverSelection, NamesRoundTrip)
 {
     for (ThermalSolverKind kind :
-         {ThermalSolverKind::Explicit, ThermalSolverKind::Spectral,
-          ThermalSolverKind::Surrogate})
+         {ThermalSolverKind::Explicit, ThermalSolverKind::Spectral})
         EXPECT_EQ(parseThermalSolverName(thermalSolverName(kind)), kind);
 }
 
@@ -744,6 +711,8 @@ using SolverSelectionDeathTest = ::testing::Test;
 
 TEST(SolverSelectionDeathTest, UnknownNameIsFatal)
 {
-    EXPECT_DEATH(parseThermalSolverName("crank-nicolson"),
-                 "unknown thermal solver");
+    for (const char *name : {"crank-nicolson", "surrogate"}) {
+        EXPECT_DEATH(parseThermalSolverName(name),
+                     "unknown thermal solver.*want explicit\\|spectral\\)");
+    }
 }
