@@ -27,10 +27,9 @@ main(int argc, char **argv)
 {
     const BenchOptions opts = parseBenchArgs(argc, argv);
     BenchReport report("ablation_delay");
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+    const SourceSet set = opts.sources(testWorkloads());
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
     const std::vector<int> delays{0, 2, 12};
 
     TextTable table;
@@ -44,7 +43,8 @@ main(int argc, char **argv)
         TrainerConfig tcfg;
         tcfg.data = datasetConfigFor(benchScale());
         const TrainedBoreas trained =
-            trainBoreas(pipeline, trainWorkloads(), tcfg);
+            trainBoreas(pipeline, wrapSpecs(trainWorkloads()).sources,
+                        tcfg);
         const CriticalTempTable th_table = buildThTable(pipeline);
 
         ThermalThresholdController th00("TH-00", th_table, 0.0,
@@ -58,18 +58,11 @@ main(int argc, char **argv)
               static_cast<FrequencyController *>(&ml05)}) {
             OnlineStats norm;
             int incursions = 0;
-            if (wl_override) {
+            for (const WorkloadSource *source : set.sources) {
                 const EvalRow row =
-                    evaluateController(pipeline, *wl_override, *m);
+                    evaluateController(pipeline, *source, *m);
                 norm.add(row.normalized);
                 incursions += row.incursions;
-            } else {
-                for (const WorkloadSpec *w : testWorkloads()) {
-                    const EvalRow row =
-                        evaluateController(pipeline, *w, *m);
-                    norm.add(row.normalized);
-                    incursions += row.incursions;
-                }
             }
             table.addRow({strfmt("%d us", delay * 80), m->name(),
                           TextTable::num(norm.mean(), 4),

@@ -34,27 +34,20 @@ main(int argc, char **argv)
     SimulationPipeline pipeline;
     const DatasetConfig dcfg = datasetConfigFor(benchScale());
     std::fprintf(stderr, "[bench] generating train data...\n");
-    const BuiltData train = buildTrainingData(pipeline, trainWorkloads(),
-                                              dcfg);
+    const BuiltData train = buildTrainingData(
+        pipeline, wrapSpecs(trainWorkloads()).sources, dcfg);
     // --workload swaps the held-out evaluation stimulus; training stays
     // on the Table III split so the ablation still measures
     // generalization.
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+    const SourceSet test_set = opts.sources(testWorkloads());
+    if (opts.hasWorkload())
+        report.workloadSource(test_set.sources[0]->name());
     DatasetConfig eval_cfg = dcfg;
     eval_cfg.intensityAugments = {1.0};
     eval_cfg.walkSegments = 2;
     std::fprintf(stderr, "[bench] generating test data...\n");
     const BuiltData test =
-        wl_override
-            ? buildTrainingData(
-                  pipeline,
-                  std::vector<const WorkloadSource *>{
-                      wl_override.get()},
-                  eval_cfg)
-            : buildTrainingData(pipeline, testWorkloads(), eval_cfg);
+        buildTrainingData(pipeline, test_set.sources, eval_cfg);
 
     struct Variant
     {

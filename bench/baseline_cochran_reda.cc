@@ -27,10 +27,9 @@ main(int argc, char **argv)
     const BenchOptions opts = parseBenchArgs(argc, argv);
     BenchReport report("baseline_cochran_reda");
     auto ctx = buildExperimentContext();
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+    const SourceSet set = opts.sources(testWorkloads());
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
     auto th00 = ctx->thController(0.0);
     auto cr = ctx->crController();
     auto ml05 = ctx->mlController(0.05);
@@ -41,14 +40,7 @@ main(int argc, char **argv)
     eval_cfg.intensityAugments = {1.0};
     eval_cfg.walkSegments = 2;
     const BuiltData eval =
-        wl_override
-            ? buildTrainingData(
-                  ctx->pipeline,
-                  std::vector<const WorkloadSource *>{
-                      wl_override.get()},
-                  eval_cfg)
-            : buildTrainingData(ctx->pipeline, testWorkloads(),
-                                eval_cfg);
+        buildTrainingData(ctx->pipeline, set.sources, eval_cfg);
     OnlineStats temp_err;
     for (const auto &s : eval.phaseSamples) {
         const double pred = ctx->trained.phaseModel.predictNextTemp(
@@ -78,16 +70,10 @@ main(int argc, char **argv)
         cr_inc += c.incursions;
         ml_inc += ml.incursions;
     };
-    if (wl_override) {
-        addRuns(evaluateController(ctx->pipeline, *wl_override, *th00),
-                evaluateController(ctx->pipeline, *wl_override, *cr),
-                evaluateController(ctx->pipeline, *wl_override, *ml05));
-    } else {
-        for (const WorkloadSpec *w : testWorkloads()) {
-            addRuns(evaluateController(ctx->pipeline, *w, *th00),
-                    evaluateController(ctx->pipeline, *w, *cr),
-                    evaluateController(ctx->pipeline, *w, *ml05));
-        }
+    for (const WorkloadSource *source : set.sources) {
+        addRuns(evaluateController(ctx->pipeline, *source, *th00),
+                evaluateController(ctx->pipeline, *source, *cr),
+                evaluateController(ctx->pipeline, *source, *ml05));
     }
     std::printf("=== normalized average frequency (test set) ===\n");
     table.print(std::cout);

@@ -29,24 +29,19 @@ main(int argc, char **argv)
     const BenchOptions opts = parseBenchArgs(argc, argv);
     BenchReport report("fig2_severity_sweep");
     SimulationPipeline pipeline;
-    const auto &suite = spec2006Suite();
     std::vector<const WorkloadSpec *> all;
-    for (const auto &w : suite)
+    for (const auto &w : spec2006Suite())
         all.push_back(&w);
 
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
+    const SourceSet set = opts.sources(all);
     std::fprintf(stderr, "[bench] sweeping %s x 13 frequencies...\n",
-                 wl_override ? wl_override->name().c_str()
-                             : "27 workloads");
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+                 opts.hasWorkload() ? set.sources[0]->name().c_str()
+                                    : "27 workloads");
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
     const SeveritySweep sweep =
-        wl_override
-            ? severitySweep(pipeline, {wl_override.get()},
-                            pipeline.vfTable().frequencies(), kBenchSeed)
-            : severitySweep(pipeline, all,
-                            pipeline.vfTable().frequencies(), kBenchSeed);
+        severitySweep(pipeline, set.sources,
+                      pipeline.vfTable().frequencies(), kBenchSeed);
 
     // Sort rows by peak severity at the top frequency (the paper sorts
     // workloads by their peak severity).

@@ -30,35 +30,28 @@ main(int argc, char **argv)
 
     // Fan the workloads x 3 relaxations out over the pool. Default is
     // the paper's bursty/steady pair; --workload swaps in one source.
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
-    std::vector<std::string> names;
-    if (wl_override)
-        names.push_back(wl_override->name());
-    else
-        names = {"gromacs", "gamess"};
+    const SourceSet set = opts.sources(
+        {&findWorkload("gromacs"), &findWorkload("gamess")});
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
     const std::vector<Celsius> offsets{0.0, 5.0, 10.0};
     std::vector<RunTask> tasks;
-    for (const std::string &name : names) {
+    for (const WorkloadSource *source : set.sources) {
         for (Celsius offset : offsets) {
-            RunTask task{
-                wl_override ? nullptr : &findWorkload(name),
-                [&table, offset] {
-                    return std::make_unique<ThermalThresholdController>(
-                        strfmt("TH-%02d", static_cast<int>(offset)),
-                        table, offset, kBestSensorIndex);
-                },
-                kBenchSeed, kBaselineFrequency};
-            task.source = wl_override.get();
-            tasks.push_back(std::move(task));
+            tasks.push_back(
+                {source,
+                 [&table, offset] {
+                     return std::make_unique<ThermalThresholdController>(
+                         strfmt("TH-%02d", static_cast<int>(offset)),
+                         table, offset, kBestSensorIndex);
+                 },
+                 kBenchSeed, kBaselineFrequency});
         }
     }
     const std::vector<RunResult> all = runAll(pipeline.config(), tasks);
 
-    for (size_t wi = 0; wi < names.size(); ++wi) {
-        const char *name = names[wi].c_str();
+    for (size_t wi = 0; wi < set.sources.size(); ++wi) {
+        const char *name = set.sources[wi]->name().c_str();
         std::printf("=== Fig. 4%s: %s ===\n",
                     std::string(name) == "gamess" ? "b" : "a", name);
 

@@ -34,20 +34,16 @@ main(int argc, char **argv)
     // A hot, bursty workload pushed past its safe point. --workload
     // substitutes any registered source as the traced stimulus (the
     // k-means placement demo below keeps its fixed program set).
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+    const SourceSet set = opts.sources({&findWorkload("povray")});
+    WorkloadSource &source = *set.owned[0];
+    if (opts.hasWorkload())
+        report.workloadSource(source.name());
     const RunResult run =
-        wl_override
-            ? pipeline.runConstantFrequency(*wl_override, kBenchSeed,
-                                            4.5)
-            : pipeline.runConstantFrequency(findWorkload("povray"),
-                                            kBenchSeed, 4.5);
+        pipeline.runConstantFrequency(source, kBenchSeed, 4.5);
 
     std::printf("=== Fig. 5: sensor readings vs severity (%s @ "
                 "4.5 GHz) ===\n",
-                wl_override ? wl_override->name().c_str() : "povray");
+                source.name().c_str());
     TextTable series;
     series.setHeader({"ms", "ts00", "ts01", "ts02", "ts03", "ts04",
                       "ts05", "ts06", "maxSev"});
@@ -115,7 +111,7 @@ main(int argc, char **argv)
     std::vector<Point> hotspot_sites;
     for (const char *name : {"povray", "namd", "gromacs", "hmmer"}) {
         const RunResult r = pipeline.runConstantFrequency(
-            findWorkload(name), kBenchSeed, 4.75);
+            *makeSyntheticSource(findWorkload(name)), kBenchSeed, 4.75);
         for (const auto &rec : r.steps) {
             if (rec.severity.maxSeverity > 0.9) {
                 hotspot_sites.push_back(pipeline.thermalGrid()

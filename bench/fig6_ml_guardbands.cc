@@ -24,26 +24,24 @@ main(int argc, char **argv)
     const BenchOptions opts = parseBenchArgs(argc, argv);
     BenchReport report("fig6_ml_guardbands");
     auto ctx = buildExperimentContext();
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+    const SourceSet set = opts.sources({&findWorkload("bzip2")});
+    const WorkloadSource *source = set.sources[0];
+    if (opts.hasWorkload())
+        report.workloadSource(source->name());
 
     // The three guardband runs are independent: run them on the pool.
     const double guardbands[] = {0.0, 0.05, 0.10};
     std::vector<RunTask> tasks;
     for (double g : guardbands) {
-        RunTask task{wl_override ? nullptr : &findWorkload("bzip2"),
-                     [&ctx, g] { return ctx->mlController(g); },
-                     kBenchSeed, kBaselineFrequency};
-        task.source = wl_override.get();
-        tasks.push_back(std::move(task));
+        tasks.push_back({source,
+                         [&ctx, g] { return ctx->mlController(g); },
+                         kBenchSeed, kBaselineFrequency});
     }
     const std::vector<RunResult> runs =
         runAll(ctx->pipeline.config(), tasks);
 
     std::printf("=== Fig. 6: %s under ML00 / ML05 / ML10 ===\n",
-                wl_override ? wl_override->name().c_str() : "bzip2");
+                source->name().c_str());
     TextTable series;
     series.setHeader({"ms", "ML00 GHz", "ML00 sev", "ML05 GHz",
                       "ML05 sev", "ML10 GHz", "ML10 sev"});

@@ -62,17 +62,17 @@ reportSolverSpeedup(BenchReport &report, const PipelineConfig &config)
     if (config.thermal.solver == ThermalSolverKind::Explicit)
         return; // nothing to compare against
 
-    const WorkloadSpec &workload = *testWorkloads().front();
+    const auto workload = makeSyntheticSource(*testWorkloads().front());
     PipelineConfig calib = config;
     calib.thermal.solver = ThermalSolverKind::Explicit;
     // Warm each path once unmeasured: the first trace pays plan builds,
     // state loads and cold caches, which would skew the sample means.
     {
         SimulationPipeline warm_ref(calib);
-        warm_ref.runConstantFrequency(workload, kBenchSeed,
+        warm_ref.runConstantFrequency(*workload, kBenchSeed,
                                       kBaselineFrequency);
         SimulationPipeline warm_fast(config);
-        warm_fast.runConstantFrequency(workload, kBenchSeed,
+        warm_fast.runConstantFrequency(*workload, kBenchSeed,
                                        kBaselineFrequency);
     }
 
@@ -91,12 +91,12 @@ reportSolverSpeedup(BenchReport &report, const PipelineConfig &config)
         const obs::MetricsSnapshot t0 =
             obs::MetricsRegistry::global().snapshot();
         SimulationPipeline ref_pipeline(calib);
-        ref_pipeline.runConstantFrequency(workload, kBenchSeed,
+        ref_pipeline.runConstantFrequency(*workload, kBenchSeed,
                                           kBaselineFrequency);
         const obs::MetricsSnapshot t1 =
             obs::MetricsRegistry::global().snapshot();
         SimulationPipeline fast_pipeline(config);
-        fast_pipeline.runConstantFrequency(workload, kBenchSeed,
+        fast_pipeline.runConstantFrequency(*workload, kBenchSeed,
                                            kBaselineFrequency);
         const obs::MetricsSnapshot t2 =
             obs::MetricsRegistry::global().snapshot();
@@ -140,10 +140,9 @@ main(int argc, char **argv)
     auto ctx = buildExperimentContext();
     report.thermalSolver(thermalSolverName(ctx->pipeline.config()
                                                .thermal.solver));
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+    const SourceSet set = opts.sources(testWorkloads());
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
 
     // One factory per model: every (workload, model) run gets its own
     // controller instance so the whole grid fans out over the pool.
@@ -158,20 +157,8 @@ main(int argc, char **argv)
         [&ctx] { return ctx->mlController(0.05); },
         [&ctx] { return ctx->mlController(0.10); },
     };
-    const std::vector<const WorkloadSpec *> workloads = testWorkloads();
-    std::vector<std::string> workload_names;
-    std::vector<std::vector<EvalRow>> grid;
-    if (wl_override) {
-        workload_names.push_back(wl_override->name());
-        grid = evaluateGrid(
-            ctx->pipeline.config(),
-            std::vector<const WorkloadSource *>{wl_override.get()},
-            models);
-    } else {
-        for (const WorkloadSpec *w : workloads)
-            workload_names.push_back(w->name);
-        grid = evaluateGrid(ctx->pipeline.config(), workloads, models);
-    }
+    const std::vector<std::vector<EvalRow>> grid =
+        evaluateGrid(ctx->pipeline.config(), set.sources, models);
 
     TextTable table;
     table.setHeader({"workload", "model", "avg GHz", "vs 3.75",
@@ -196,7 +183,7 @@ main(int argc, char **argv)
             if (row.controller == std::string("ML05"))
                 ml05_norm = row.normalized;
         }
-        ml05_vs_th[workload_names[wi]] = ml05_norm / th_norm - 1.0;
+        ml05_vs_th[set.sources[wi]->name()] = ml05_norm / th_norm - 1.0;
     }
 
     std::printf("=== Fig. 7: per-workload normalized average frequency "

@@ -24,37 +24,25 @@ main(int argc, char **argv)
     const BenchOptions opts = parseBenchArgs(argc, argv);
     BenchReport report("fig8_dynamic_runs");
     auto ctx = buildExperimentContext();
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+    const SourceSet set = opts.sources(testWorkloads());
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
 
     // All (workload, controller) runs are independent: execute the
     // whole batch on the pool, then print in the fixed task order.
-    const std::vector<const WorkloadSpec *> workloads = testWorkloads();
-    std::vector<std::string> names;
-    if (wl_override)
-        names.push_back(wl_override->name());
-    else
-        for (const WorkloadSpec *w : workloads)
-            names.push_back(w->name);
     std::vector<RunTask> tasks;
-    for (size_t wi = 0; wi < names.size(); ++wi) {
-        const WorkloadSpec *w = wl_override ? nullptr : workloads[wi];
-        RunTask th_task{w, [&ctx] { return ctx->thController(0.0); },
-                        kBenchSeed, kBaselineFrequency};
-        th_task.source = wl_override.get();
-        tasks.push_back(std::move(th_task));
-        RunTask ml_task{w, [&ctx] { return ctx->mlController(0.05); },
-                        kBenchSeed, kBaselineFrequency};
-        ml_task.source = wl_override.get();
-        tasks.push_back(std::move(ml_task));
+    for (const WorkloadSource *source : set.sources) {
+        tasks.push_back({source, [&ctx] { return ctx->thController(0.0); },
+                         kBenchSeed, kBaselineFrequency});
+        tasks.push_back({source,
+                         [&ctx] { return ctx->mlController(0.05); },
+                         kBenchSeed, kBaselineFrequency});
     }
     const std::vector<RunResult> runs =
         runAll(ctx->pipeline.config(), tasks);
 
-    for (size_t wi = 0; wi < names.size(); ++wi) {
-        const std::string &name = names[wi];
+    for (size_t wi = 0; wi < set.sources.size(); ++wi) {
+        const std::string &name = set.sources[wi]->name();
         const RunResult &th_run = runs[2 * wi];
         const RunResult &ml_run = runs[2 * wi + 1];
 

@@ -38,8 +38,8 @@ main(int argc, char **argv)
     SimulationPipeline pipeline;
     DatasetConfig dcfg = datasetConfigFor(benchScale());
     std::fprintf(stderr, "[bench] generating CV dataset...\n");
-    const BuiltData built = buildTrainingData(pipeline, trainWorkloads(),
-                                              dcfg);
+    const BuiltData built = buildTrainingData(
+        pipeline, wrapSpecs(trainWorkloads()).sources, dcfg);
     const Dataset data = built.severity.selectFeatures(
         featureIndicesOf(deployedFeatureNames()));
     std::fprintf(stderr, "[bench] %zu instances\n", data.numRows());

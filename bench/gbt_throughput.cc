@@ -114,10 +114,11 @@ main(int argc, char **argv)
     cfg.data.frequencies = {3.75, 4.25, 4.75};
     cfg.data.walkSegments = 1;
     cfg.gbt.nEstimators = 223;
-    const std::vector<const WorkloadSpec *> train_set{
-        &findWorkload("povray"), &findWorkload("gromacs"),
-        &findWorkload("sjeng"), &findWorkload("mcf")};
-    const TrainedBoreas trained = trainBoreas(pipeline, train_set, cfg);
+    const SourceSet train_set = wrapSpecs(
+        {&findWorkload("povray"), &findWorkload("gromacs"),
+         &findWorkload("sjeng"), &findWorkload("mcf")});
+    const TrainedBoreas trained =
+        trainBoreas(pipeline, train_set.sources, cfg);
     const GBTRegressor &model = trained.model;
     const FlatGBT flat(model);
 

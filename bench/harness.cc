@@ -43,12 +43,15 @@ benchPipelineConfig()
     return config;
 }
 
-std::unique_ptr<WorkloadSource>
-BenchOptions::makeSource() const
+SourceSet
+BenchOptions::sources(const std::vector<const WorkloadSpec *> &defaults)
+    const
 {
-    boreas_assert(hasWorkload(),
-                  "makeSource() without a --workload override");
-    return makeWorkloadSource(workloadSpec);
+    if (!hasWorkload())
+        return wrapSpecs(defaults);
+    SourceSet set;
+    set.add(makeWorkloadSource(workloadSpec));
+    return set;
 }
 
 BenchOptions
@@ -145,7 +148,8 @@ buildExperimentContext()
 
     TrainerConfig tcfg;
     tcfg.data = datasetConfigFor(scale);
-    ctx->trained = trainBoreas(ctx->pipeline, trainWorkloads(), tcfg);
+    ctx->trained = trainBoreas(ctx->pipeline,
+                               wrapSpecs(trainWorkloads()).sources, tcfg);
     std::fprintf(stderr, "[bench] trained on %zu instances\n",
                  ctx->trained.trainData.numRows());
 
@@ -158,27 +162,29 @@ buildThTable(SimulationPipeline &pipeline)
 {
     std::fprintf(stderr, "[bench] deriving TH critical temps...\n");
     const CriticalTempStudy study = criticalTempStudy(
-        pipeline, trainWorkloads(), pipeline.vfTable().frequencies(),
-        kBestSensorIndex, kBenchSeed);
+        pipeline, wrapSpecs(trainWorkloads()).sources,
+        pipeline.vfTable().frequencies(), kBestSensorIndex, kBenchSeed);
     return study.globalTable();
 }
 
-EvalRow
-evaluateController(SimulationPipeline &pipeline,
-                   const WorkloadSpec &workload,
-                   FrequencyController &controller, uint64_t seed)
+namespace
 {
-    const RunResult run = pipeline.runWithController(
-        workload, seed, controller, kBaselineFrequency);
+
+EvalRow
+summarize(const std::string &workload, const std::string &controller,
+          const RunResult &run)
+{
     EvalRow row;
-    row.workload = workload.name;
-    row.controller = controller.name();
+    row.workload = workload;
+    row.controller = controller;
     row.avgFreq = run.averageFrequency();
     row.normalized = row.avgFreq / kBaselineFrequency;
     row.peakSeverity = run.peakSeverity();
     row.incursions = run.incursionSteps();
     return row;
 }
+
+} // namespace
 
 EvalRow
 evaluateController(SimulationPipeline &pipeline,
@@ -186,16 +192,9 @@ evaluateController(SimulationPipeline &pipeline,
                    FrequencyController &controller, uint64_t seed)
 {
     const auto clone = source.clone();
-    const RunResult run = pipeline.runWithController(
-        *clone, seed, controller, kBaselineFrequency);
-    EvalRow row;
-    row.workload = source.name();
-    row.controller = controller.name();
-    row.avgFreq = run.averageFrequency();
-    row.normalized = row.avgFreq / kBaselineFrequency;
-    row.peakSeverity = run.peakSeverity();
-    row.incursions = run.incursionSteps();
-    return row;
+    return summarize(source.name(), controller.name(),
+                     pipeline.runWithController(*clone, seed, controller,
+                                                kBaselineFrequency));
 }
 
 std::vector<RunResult>
@@ -209,50 +208,12 @@ runAll(const PipelineConfig &config, const std::vector<RunTask> &tasks)
             for (int64_t j = lo; j < hi; ++j) {
                 const RunTask &task = tasks[j];
                 const auto controller = task.makeController();
-                if (task.source != nullptr) {
-                    const auto src = task.source->clone();
-                    results[j] = local.runWithController(
-                        *src, task.seed, *controller, task.initialFreq);
-                } else {
-                    results[j] = local.runWithController(
-                        *task.workload, task.seed, *controller,
-                        task.initialFreq);
-                }
+                const auto src = task.source->clone();
+                results[j] = local.runWithController(
+                    *src, task.seed, *controller, task.initialFreq);
             }
         });
     return results;
-}
-
-std::vector<std::vector<EvalRow>>
-evaluateGrid(const PipelineConfig &config,
-             const std::vector<const WorkloadSpec *> &workloads,
-             const std::vector<ControllerFactory> &controllers,
-             uint64_t seed)
-{
-    std::vector<RunTask> tasks;
-    tasks.reserve(workloads.size() * controllers.size());
-    for (const WorkloadSpec *w : workloads) {
-        for (const ControllerFactory &make : controllers)
-            tasks.push_back({w, make, seed, kBaselineFrequency});
-    }
-    const std::vector<RunResult> runs = runAll(config, tasks);
-
-    std::vector<std::vector<EvalRow>> grid(workloads.size());
-    size_t j = 0;
-    for (size_t wi = 0; wi < workloads.size(); ++wi) {
-        grid[wi].resize(controllers.size());
-        for (size_t ci = 0; ci < controllers.size(); ++ci, ++j) {
-            const RunResult &run = runs[j];
-            EvalRow &row = grid[wi][ci];
-            row.workload = workloads[wi]->name;
-            row.controller = controllers[ci]()->name();
-            row.avgFreq = run.averageFrequency();
-            row.normalized = row.avgFreq / kBaselineFrequency;
-            row.peakSeverity = run.peakSeverity();
-            row.incursions = run.incursionSteps();
-        }
-    }
-    return grid;
 }
 
 std::vector<std::vector<EvalRow>>
@@ -265,24 +226,17 @@ evaluateGrid(const PipelineConfig &config,
     tasks.reserve(sources.size() * controllers.size());
     for (const WorkloadSource *s : sources) {
         for (const ControllerFactory &make : controllers)
-            tasks.push_back(
-                {nullptr, make, seed, kBaselineFrequency, s});
+            tasks.push_back({s, make, seed, kBaselineFrequency});
     }
     const std::vector<RunResult> runs = runAll(config, tasks);
 
     std::vector<std::vector<EvalRow>> grid(sources.size());
     size_t j = 0;
     for (size_t wi = 0; wi < sources.size(); ++wi) {
-        grid[wi].resize(controllers.size());
         for (size_t ci = 0; ci < controllers.size(); ++ci, ++j) {
-            const RunResult &run = runs[j];
-            EvalRow &row = grid[wi][ci];
-            row.workload = sources[wi]->name();
-            row.controller = controllers[ci]()->name();
-            row.avgFreq = run.averageFrequency();
-            row.normalized = row.avgFreq / kBaselineFrequency;
-            row.peakSeverity = run.peakSeverity();
-            row.incursions = run.incursionSteps();
+            grid[wi].push_back(summarize(sources[wi]->name(),
+                                         controllers[ci]()->name(),
+                                         runs[j]));
         }
     }
     return grid;

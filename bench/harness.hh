@@ -58,15 +58,15 @@ constexpr uint64_t kBenchSeed = 2023;
 
 /**
  * Command-line options shared by every bench main. With no arguments
- * each bench runs its built-in default stimulus, byte-identical to the
- * pre-flag outputs; `--workload <source-spec>` (or `--workload=<...>`)
- * substitutes any registered workload source (workload/registry.hh
- * grammar: synthetic:spec2006/<name>, synthetic:nas/<name>, mix:...,
+ * each bench runs its built-in default programs; `--workload
+ * <source-spec>` (or `--workload=<...>`) substitutes any registered
+ * workload source (workload/registry.hh grammar:
+ * synthetic:spec2006/<name>, synthetic:nas/<name>, mix:...,
  * adversarial:..., trace:<path>, or a bare program name).
  */
 struct BenchOptions
 {
-    std::string workloadSpec; ///< empty = bench default stimulus
+    std::string workloadSpec; ///< empty = bench default programs
 
     bool
     hasWorkload() const
@@ -74,9 +74,13 @@ struct BenchOptions
         return !workloadSpec.empty();
     }
 
-    /** Build the override source; panics if no --workload was given
-     *  or the spec string does not resolve. */
-    std::unique_ptr<WorkloadSource> makeSource() const;
+    /**
+     * The sources a bench runs: the --workload source alone (panics if
+     * it does not resolve), or else `defaults` wrapped as sources,
+     * whose names are the bare program names.
+     */
+    SourceSet sources(const std::vector<const WorkloadSpec *> &defaults)
+        const;
 };
 
 /** Parse bench argv; panics with usage on unknown arguments. */
@@ -137,13 +141,10 @@ struct EvalRow
     int incursions = 0;
 };
 
-/** Run one controller on one workload and summarize. */
-EvalRow evaluateController(SimulationPipeline &pipeline,
-                           const WorkloadSpec &workload,
-                           FrequencyController &controller,
-                           uint64_t seed = kBenchSeed);
-
-/** Same, driven by an arbitrary source (evaluated on a fresh clone). */
+/**
+ * Run one controller on a fresh clone of one source and summarize;
+ * the row is labeled with the source name.
+ */
 EvalRow evaluateController(SimulationPipeline &pipeline,
                            const WorkloadSource &source,
                            FrequencyController &controller,
@@ -157,16 +158,15 @@ EvalRow evaluateController(SimulationPipeline &pipeline,
 using ControllerFactory =
     std::function<std::unique_ptr<FrequencyController>()>;
 
-/** One independent closed-loop run for the parallel fan-out. Exactly
- *  one of `workload` / `source` is set; a source task runs a private
- *  clone, so many tasks may share one base source. */
+/** One independent closed-loop run for the parallel fan-out. The
+ *  task runs a private clone of `source`, so many tasks may share one
+ *  base source. */
 struct RunTask
 {
-    const WorkloadSpec *workload = nullptr;
+    const WorkloadSource *source = nullptr;
     ControllerFactory makeController;
     uint64_t seed = kBenchSeed;
     GHz initialFreq = kBaselineFrequency;
-    const WorkloadSource *source = nullptr; ///< overrides `workload`
 };
 
 /**
@@ -178,17 +178,10 @@ std::vector<RunResult> runAll(const PipelineConfig &config,
                               const std::vector<RunTask> &tasks);
 
 /**
- * Evaluate the full (workload x controller) grid in parallel.
- * Result rows are indexed [workload][controller], matching the input
- * vectors' order.
+ * Evaluate the full (source x controller) grid in parallel, one source
+ * clone per run. Result rows are indexed [source][controller],
+ * matching the input vectors' order, and labeled with source names.
  */
-std::vector<std::vector<EvalRow>>
-evaluateGrid(const PipelineConfig &config,
-             const std::vector<const WorkloadSpec *> &workloads,
-             const std::vector<ControllerFactory> &controllers,
-             uint64_t seed = kBenchSeed);
-
-/** The grid over arbitrary workload sources (cloned per run). */
 std::vector<std::vector<EvalRow>>
 evaluateGrid(const PipelineConfig &config,
              const std::vector<const WorkloadSource *> &sources,

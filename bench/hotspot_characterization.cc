@@ -48,25 +48,22 @@ main(int argc, char **argv)
     // Default: each SPEC2006 program at its first unsafe frequency.
     // With --workload: the override source at the top grid frequency
     // (no per-source design oracle exists, so probe the worst case).
+    std::vector<const WorkloadSpec *> all;
+    for (const auto &w : spec2006Suite())
+        all.push_back(&w);
+    const SourceSet set = opts.sources(all);
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
     std::vector<CharRow> rows;
-    if (opts.hasWorkload()) {
-        const auto src = opts.makeSource();
-        report.workloadSource(src->name());
+    for (const auto &src : set.owned) {
         CharRow row;
         row.name = src->name();
-        row.freq = vf.frequencies().back();
+        row.freq = opts.hasWorkload()
+            ? vf.frequencies().back()
+            : vf.stepUp(designOracleFrequency(src->name()));
         row.run = pipeline.runConstantFrequency(
             *src, kBenchSeed + src->groupId(), row.freq);
         rows.push_back(std::move(row));
-    } else {
-        for (const auto &w : spec2006Suite()) {
-            CharRow row;
-            row.name = w.name;
-            row.freq = vf.stepUp(designOracleFrequency(w.name));
-            row.run = pipeline.runConstantFrequency(
-                w, kBenchSeed + w.seedSalt, row.freq);
-            rows.push_back(std::move(row));
-        }
     }
 
     std::printf("=== hotspot characterization at each workload's "

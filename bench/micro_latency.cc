@@ -53,21 +53,19 @@ struct MicroState
         cfg.data.frequencies = {3.75, 4.25, 4.75};
         cfg.data.walkSegments = 1;
         cfg.gbt.nEstimators = 223; // the paper's deployed size
-        std::vector<const WorkloadSpec *> train{
-            &findWorkload("povray"), &findWorkload("gromacs"),
-            &findWorkload("sjeng"), &findWorkload("mcf")};
-        trained = trainBoreas(pipeline, train, cfg);
-        if (!g_workload_spec.empty()) {
-            source = makeWorkloadSource(g_workload_spec);
-            pipeline.start(*source, 1);
-        } else {
-            pipeline.start(findWorkload("bzip2"), 1);
-        }
+        const SourceSet train = wrapSpecs(
+            {&findWorkload("povray"), &findWorkload("gromacs"),
+             &findWorkload("sjeng"), &findWorkload("mcf")});
+        trained = trainBoreas(pipeline, train.sources, cfg);
+        source = g_workload_spec.empty()
+            ? makeSyntheticSource(findWorkload("bzip2"))
+            : makeWorkloadSource(g_workload_spec);
+        pipeline.start(*source, 1);
     }
 
     SimulationPipeline pipeline;
     TrainedBoreas trained;
-    std::unique_ptr<WorkloadSource> source; ///< keeps the override alive
+    std::unique_ptr<WorkloadSource> source; ///< drives `pipeline`
 };
 
 MicroState &

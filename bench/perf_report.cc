@@ -55,12 +55,12 @@ reportConfig()
 double
 timeSweep()
 {
-    const std::vector<const WorkloadSpec *> wls{
-        &findWorkload("bzip2"), &findWorkload("gamess"),
-        &findWorkload("povray"), &findWorkload("mcf")};
+    const SourceSet set = wrapSpecs(
+        {&findWorkload("bzip2"), &findWorkload("gamess"),
+         &findWorkload("povray"), &findWorkload("mcf")});
     std::vector<RunTask> tasks;
-    for (const WorkloadSpec *w : wls) {
-        tasks.push_back({w,
+    for (const WorkloadSource *source : set.sources) {
+        tasks.push_back({source,
                          [] {
                              return std::make_unique<
                                  FixedFrequencyController>(
@@ -84,11 +84,11 @@ timeDatasetBuild(BuiltData &out)
     cfg.walkSegments = 1;
     cfg.traceSteps = 96;
     SimulationPipeline pipeline(reportConfig());
-    const std::vector<const WorkloadSpec *> wls{
-        &findWorkload("povray"), &findWorkload("gromacs"),
-        &findWorkload("mcf")};
+    const SourceSet set = wrapSpecs(
+        {&findWorkload("povray"), &findWorkload("gromacs"),
+         &findWorkload("mcf")});
     const auto t0 = Clock::now();
-    out = buildTrainingData(pipeline, wls, cfg);
+    out = buildTrainingData(pipeline, set.sources, cfg);
     const auto t1 = Clock::now();
     return seconds(t0, t1);
 }

@@ -50,25 +50,17 @@ main(int argc, char **argv)
     for (const auto &w : spec2006Suite())
         all.push_back(&w);
     const std::vector<GHz> freqs{4.0, 4.25, 4.5, 4.75, 5.0};
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
-    const std::vector<const WorkloadSource *> override_set =
-        wl_override ? std::vector<const WorkloadSource *>{
-                          wl_override.get()}
-                    : std::vector<const WorkloadSource *>{};
+    const SourceSet set = opts.sources(all);
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
 
     // ---- location study: critical temps on the top-4 core sensors.
     std::fprintf(stderr, "[bench] location study (4 sensors)...\n");
     SimulationPipeline pipeline;
     std::vector<CriticalTempStudy> by_sensor;
     for (int sensor = 0; sensor < 4; ++sensor) {
-        by_sensor.push_back(
-            wl_override ? criticalTempStudy(pipeline, override_set,
-                                            freqs, sensor, kBenchSeed)
-                        : criticalTempStudy(pipeline, all, freqs,
-                                            sensor, kBenchSeed));
+        by_sensor.push_back(criticalTempStudy(pipeline, set.sources,
+                                              freqs, sensor, kBenchSeed));
     }
 
     const size_t num_workloads = by_sensor[0].workloads.size();
@@ -123,17 +115,12 @@ main(int argc, char **argv)
         PipelineConfig cfg;
         cfg.sensors.delaySteps = d;
         SimulationPipeline p(cfg);
-        by_delay.push_back(
-            wl_override ? criticalTempStudy(p, override_set, freqs,
-                                            kBestSensorIndex,
-                                            kBenchSeed)
-                        : criticalTempStudy(p, all, freqs,
-                                            kBestSensorIndex,
-                                            kBenchSeed));
+        by_delay.push_back(criticalTempStudy(p, set.sources, freqs,
+                                             kBestSensorIndex, kBenchSeed));
     }
     const std::vector<std::string> delay_names =
-        wl_override
-            ? std::vector<std::string>{wl_override->name()}
+        opts.hasWorkload()
+            ? std::vector<std::string>{set.sources[0]->name()}
             : std::vector<std::string>{"gromacs", "sjeng",
                                        "libquantum"};
     for (const std::string &name : delay_names) {

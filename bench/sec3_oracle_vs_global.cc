@@ -35,17 +35,13 @@ main(int argc, char **argv)
     for (const auto &w : spec2006Suite())
         all.push_back(&w);
 
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+    const SourceSet set = opts.sources(all);
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
     std::fprintf(stderr, "[bench] sweeping for oracle selection...\n");
     const SeveritySweep sweep =
-        wl_override
-            ? severitySweep(pipeline, {wl_override.get()},
-                            pipeline.vfTable().frequencies(), kBenchSeed)
-            : severitySweep(pipeline, all,
-                            pipeline.vfTable().frequencies(), kBenchSeed);
+        severitySweep(pipeline, set.sources,
+                      pipeline.vfTable().frequencies(), kBenchSeed);
     const GHz global = sweep.globalLimit();
 
     TextTable table;

@@ -33,10 +33,9 @@ main(int argc, char **argv)
     auto ctx = buildExperimentContext();
     // --workload swaps the held-out MSE stimulus; the gain ranking is a
     // property of the trained model and does not change.
-    const std::unique_ptr<WorkloadSource> wl_override =
-        opts.hasWorkload() ? opts.makeSource() : nullptr;
-    if (wl_override)
-        report.workloadSource(wl_override->name());
+    const SourceSet set = opts.sources(testWorkloads());
+    if (opts.hasWorkload())
+        report.workloadSource(set.sources[0]->name());
 
     const auto gains = ctx->trained.fullModel.featureImportance();
     const auto &schema = fullFeatureSchema();
@@ -82,14 +81,7 @@ main(int argc, char **argv)
     eval_cfg.intensityAugments = {1.0};
     eval_cfg.walkSegments = 2;
     const BuiltData eval =
-        wl_override
-            ? buildTrainingData(
-                  ctx->pipeline,
-                  std::vector<const WorkloadSource *>{
-                      wl_override.get()},
-                  eval_cfg)
-            : buildTrainingData(ctx->pipeline, testWorkloads(),
-                                eval_cfg);
+        buildTrainingData(ctx->pipeline, set.sources, eval_cfg);
     const double full_mse = ctx->trained.fullModel.mse(
         eval.severity);
     const double deployed_mse = evaluateMse(

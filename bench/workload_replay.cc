@@ -114,13 +114,12 @@ main(int argc, char **argv)
     const BenchOptions opts = parseBenchArgs(argc, argv);
     BenchReport report("workload_replay");
 
-    std::vector<std::unique_ptr<WorkloadSource>> sources;
+    SourceSet set = opts.sources({});
     if (opts.hasWorkload()) {
-        sources.push_back(opts.makeSource());
-        report.workloadSource(sources.back()->name());
+        report.workloadSource(set.sources[0]->name());
     } else {
         for (const char *spec : kDefaultScenarios)
-            sources.push_back(makeWorkloadSource(spec));
+            set.add(makeWorkloadSource(spec));
     }
 
     // --- fig7-style closed-loop evaluation of every scenario. ---
@@ -133,11 +132,8 @@ main(int argc, char **argv)
         [&ctx] { return ctx->thController(0.0); },
         [&ctx] { return ctx->mlController(0.05); },
     };
-    std::vector<const WorkloadSource *> source_ptrs;
-    for (const auto &s : sources)
-        source_ptrs.push_back(s.get());
     const auto grid =
-        evaluateGrid(ctx->pipeline.config(), source_ptrs, models);
+        evaluateGrid(ctx->pipeline.config(), set.sources, models);
 
     std::printf("=== scenario evaluation (fig7-style controller grid) "
                 "===\n");
@@ -165,10 +161,10 @@ main(int argc, char **argv)
     // The manifest hash is the first live run's: ctx->pipeline itself
     // never steps (the grid fans out over per-task pipelines).
     uint64_t manifest_hash = 0;
-    for (const auto &s : sources) {
+    for (const WorkloadSource *s : set.sources) {
         const ReplayResult r =
             recordAndReplay(ctx->pipeline.config(), *s);
-        if (&s == &sources.front())
+        if (s == set.sources.front())
             manifest_hash = r.liveHash;
         all_identical = all_identical && r.identical();
         replay_table.addRow(

@@ -17,6 +17,7 @@
 #include "boreas/analysis.hh"
 #include "boreas/trainer.hh"
 #include "control/boreas_controller.hh"
+#include "workload/registry.hh"
 #include "workload/spec2006.hh"
 
 using namespace boreas;
@@ -73,13 +74,13 @@ int
 main()
 {
     SimulationPipeline pipeline;
-    const WorkloadSpec custom = videoAnalytics();
+    const auto custom = makeSyntheticSource(videoAnalytics());
 
     // 1. Characterize: peak severity across the VF grid (a one-row
     //    Fig. 2) and the workload's oracle point.
-    std::vector<const WorkloadSpec *> wl{&custom};
     const SeveritySweep sweep = severitySweep(
-        pipeline, wl, pipeline.vfTable().frequencies(), /*seed=*/11);
+        pipeline, {custom.get()}, pipeline.vfTable().frequencies(),
+        /*seed=*/11);
     std::printf("== video-analytics: peak severity by frequency ==\n");
     for (size_t fi = 0; fi < sweep.freqs.size(); ++fi) {
         std::printf("  %.2f GHz : %.3f%s\n", sweep.freqs[fi],
@@ -96,13 +97,14 @@ main()
     cfg.data.frequencies = {3.5, 3.75, 4.0, 4.25, 4.5, 4.75, 5.0};
     cfg.data.walkSegments = 2;
     cfg.gbt.nEstimators = 120;
-    std::vector<const WorkloadSpec *> train{
+    const SourceSet train = wrapSpecs({
         &findWorkload("povray"), &findWorkload("namd"),
         &findWorkload("gromacs"), &findWorkload("libquantum"),
         &findWorkload("sjeng"), &findWorkload("milc"),
         &findWorkload("mcf"), &findWorkload("wrf"),
-    };
-    const TrainedBoreas trained = trainBoreas(pipeline, train, cfg);
+    });
+    const TrainedBoreas trained =
+        trainBoreas(pipeline, train.sources, cfg);
     std::printf("trained on %zu instances\n",
                 trained.trainData.numRows());
 
@@ -110,7 +112,7 @@ main()
     BoreasController ml05("ML05", &trained.model, trained.featureNames,
                           0.05, kBestSensorIndex);
     const RunResult run = pipeline.runWithController(
-        custom, /*seed=*/11, ml05, kBaselineFrequency);
+        *custom, /*seed=*/11, ml05, kBaselineFrequency);
     std::printf("\n== ML05 on the unseen custom workload ==\n");
     std::printf("average frequency : %.3f GHz (baseline %.2f, oracle "
                 "%.2f)\n", run.averageFrequency(), kBaselineFrequency,

@@ -21,6 +21,7 @@
 #include "control/boreas_controller.hh"
 #include "control/static_controllers.hh"
 #include "control/thermal_controller.hh"
+#include "workload/registry.hh"
 #include "workload/spec2006.hh"
 
 using namespace boreas;
@@ -29,14 +30,14 @@ int
 main()
 {
     SimulationPipeline pipeline;
-    const WorkloadSpec &workload = findWorkload("gamess");
-    const auto train = trainWorkloads();
+    const auto workload = makeSyntheticSource(findWorkload("gamess"));
+    const SourceSet train = wrapSpecs(trainWorkloads());
 
     // Offline artifacts: TH table + trained model (reduced scale so
     // the example runs in about a minute).
     std::printf("deriving TH-00 critical temperatures...\n");
     const CriticalTempStudy study = criticalTempStudy(
-        pipeline, train, pipeline.vfTable().frequencies(),
+        pipeline, train.sources, pipeline.vfTable().frequencies(),
         kBestSensorIndex, /*seed=*/21, /*steps=*/100);
 
     std::printf("training Boreas...\n");
@@ -44,12 +45,12 @@ main()
     cfg.data.frequencies = {3.5, 3.75, 4.0, 4.25, 4.5, 4.75, 5.0};
     cfg.data.walkSegments = 2;
     cfg.data.traceSteps = 100;
-    const TrainedBoreas trained = trainBoreas(pipeline, train, cfg);
+    const TrainedBoreas trained = trainBoreas(pipeline, train.sources, cfg);
 
     // The lineup.
     FixedFrequencyController global("global-3.75", kBaselineFrequency);
     const SeveritySweep sweep = severitySweep(
-        pipeline, {&workload}, pipeline.vfTable().frequencies(),
+        pipeline, {workload.get()}, pipeline.vfTable().frequencies(),
         /*seed=*/21);
     FixedFrequencyController oracle("oracle", sweep.oracleFrequency(0));
     ThermalThresholdController th00("TH-00", study.globalTable(), 0.0,
@@ -64,7 +65,7 @@ main()
     RunResult runs[4];
     for (int i = 0; i < 4; ++i) {
         runs[i] = pipeline.runWithController(
-            workload, /*seed=*/21, *policies[i], kBaselineFrequency);
+            *workload, /*seed=*/21, *policies[i], kBaselineFrequency);
         std::printf("%-12s %9.3f %9.3f %10d\n", policies[i]->name(),
                     runs[i].averageFrequency(), runs[i].peakSeverity(),
                     runs[i].incursionSteps());

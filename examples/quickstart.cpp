@@ -18,6 +18,7 @@
 #include "boreas/pipeline.hh"
 #include "boreas/trainer.hh"
 #include "control/boreas_controller.hh"
+#include "workload/registry.hh"
 #include "workload/spec2006.hh"
 
 using namespace boreas;
@@ -27,12 +28,12 @@ main()
 {
     // 1. The pipeline with default (paper) configuration.
     SimulationPipeline pipeline;
-    const WorkloadSpec &workload = findWorkload("bzip2");
+    const auto workload = makeWorkloadSource("bzip2");
 
     // 2. Open-loop run at an aggressive fixed frequency.
     std::printf("== open loop: bzip2 at 4.75 GHz ==\n");
     const RunResult open = pipeline.runConstantFrequency(
-        workload, /*seed=*/1, /*freq=*/4.75);
+        *workload, /*seed=*/1, /*freq=*/4.75);
     std::printf("peak severity %.3f, incursion steps %d/%zu\n",
                 open.peakSeverity(), open.incursionSteps(),
                 open.steps.size());
@@ -46,7 +47,7 @@ main()
     cfg.data.frequencies = {3.5, 3.75, 4.0, 4.25, 4.5, 4.75, 5.0};
     cfg.data.walkSegments = 3;
     const TrainedBoreas trained =
-        trainBoreas(pipeline, trainWorkloads(), cfg);
+        trainBoreas(pipeline, wrapSpecs(trainWorkloads()).sources, cfg);
     std::printf("trained on %zu instances, train MSE %.4f\n",
                 trained.trainData.numRows(),
                 trained.model.mse(trained.trainData));
@@ -56,7 +57,7 @@ main()
     BoreasController ml05("ML05", &trained.model, trained.featureNames,
                           /*guardband=*/0.05, kBestSensorIndex);
     const RunResult closed = pipeline.runWithController(
-        workload, /*seed=*/1, ml05, kBaselineFrequency);
+        *workload, /*seed=*/1, ml05, kBaselineFrequency);
     std::printf("avg frequency %.3f GHz (baseline %.2f), "
                 "peak severity %.3f, incursions %d\n",
                 closed.averageFrequency(), kBaselineFrequency,

@@ -20,7 +20,7 @@
 #include "boreas/analysis.hh"
 #include "boreas/pipeline.hh"
 #include "sensors/placement.hh"
-#include "workload/spec2006.hh"
+#include "workload/registry.hh"
 
 using namespace boreas;
 
@@ -44,7 +44,7 @@ main()
     // 1. Watch all seven sensors during one hot run.
     SimulationPipeline pipeline;
     const RunResult run = pipeline.runConstantFrequency(
-        findWorkload("namd"), /*seed=*/3, /*freq=*/4.5);
+        *makeWorkloadSource("namd"), /*seed=*/3, /*freq=*/4.5);
     std::printf("== namd @ 4.5 GHz: final sensor readings ==\n");
     for (size_t t = 0; t < pipeline.sensorBank().size(); ++t) {
         std::printf("  %s: %.1f C (true %.1f C)\n",
@@ -59,10 +59,10 @@ main()
     // 2. Critical temperature depends on which sensor you trust.
     std::printf("\n== critical temperature of namd @ 4.5 GHz by "
                 "sensor ==\n");
-    std::vector<const WorkloadSpec *> wl{&findWorkload("namd")};
+    const auto namd = makeWorkloadSource("namd");
     for (int sensor = 0; sensor < 4; ++sensor) {
         const CriticalTempStudy study = criticalTempStudy(
-            pipeline, wl, {4.5}, sensor, /*seed=*/3);
+            pipeline, {namd.get()}, {4.5}, sensor, /*seed=*/3);
         printCrit(pipeline.sensorBank().sensor(sensor).name().c_str(),
                   study.crit[0][0]);
     }
@@ -76,9 +76,9 @@ main()
             PipelineConfig cfg;
             cfg.sensors.delaySteps = delay;
             SimulationPipeline p(cfg);
-            std::vector<const WorkloadSpec *> one{&findWorkload(name)};
+            const auto one = makeWorkloadSource(name);
             const CriticalTempStudy study = criticalTempStudy(
-                p, one, {5.0}, kBestSensorIndex, /*seed=*/3);
+                p, {one.get()}, {5.0}, kBestSensorIndex, /*seed=*/3);
             char label[64];
             std::snprintf(label, sizeof(label), "delay %4d us",
                           delay * 80);
@@ -91,7 +91,7 @@ main()
     std::vector<Point> sites;
     for (const char *name : {"povray", "namd", "hmmer"}) {
         const RunResult r = pipeline.runConstantFrequency(
-            findWorkload(name), /*seed=*/3, 4.75);
+            *makeWorkloadSource(name), /*seed=*/3, 4.75);
         for (const auto &rec : r.steps)
             if (rec.severity.maxSeverity > 0.9)
                 sites.push_back(pipeline.thermalGrid().cellCenter(

@@ -5,7 +5,7 @@
  * an advanced hotspot form over the execution cluster.
  *
  * Build: cmake --build build --target thermal_map
- * Run:   ./build/examples/thermal_map [workload] [GHz]
+ * Run:   ./build/examples/thermal_map [workload-source] [GHz]
  */
 
 #include <algorithm>
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "boreas/pipeline.hh"
-#include "workload/spec2006.hh"
+#include "workload/registry.hh"
 
 using namespace boreas;
 
@@ -56,8 +56,8 @@ main(int argc, char **argv)
     const GHz freq = argc > 2 ? std::atof(argv[2]) : 5.0;
 
     SimulationPipeline pipeline;
-    const WorkloadSpec &w = findWorkload(name);
-    pipeline.start(w, /*seed=*/5);
+    const auto source = makeWorkloadSource(name);
+    pipeline.start(*source, /*seed=*/5);
 
     std::printf("running %s at %.2f GHz...\n\n", name.c_str(), freq);
     SeveritySnapshot last;

@@ -39,51 +39,6 @@ SeveritySweep::workloadIndex(const std::string &name) const
 
 SeveritySweep
 severitySweep(SimulationPipeline &pipeline,
-              const std::vector<const WorkloadSpec *> &workloads,
-              const std::vector<GHz> &freqs, uint64_t seed, int steps)
-{
-    boreas_assert(!workloads.empty() && !freqs.empty(),
-                  "empty sweep spec");
-    SeveritySweep sweep;
-    sweep.freqs = freqs;
-    for (const WorkloadSpec *w : workloads)
-        sweep.workloads.push_back(w->name);
-    sweep.peak.assign(workloads.size(),
-                      std::vector<double>(freqs.size(), 0.0));
-
-    // Peak severity is a max statistic of a stochastic trace; evaluate
-    // a few seeded realizations per point so the safe/unsafe boundary
-    // is not an artifact of one phase realization.
-    //
-    // Every (workload, frequency) point is an independent run: fan the
-    // grid out over the pool, one private pipeline per chunk, each
-    // point writing its own slot — results are identical at any
-    // BOREAS_THREADS.
-    constexpr int kSweepSeeds = 3;
-    const int64_t num_points =
-        static_cast<int64_t>(workloads.size() * freqs.size());
-    ThreadPool::global().parallelFor(
-        0, num_points, 1, [&](int64_t lo, int64_t hi) {
-            SimulationPipeline local(pipeline.config());
-            for (int64_t p = lo; p < hi; ++p) {
-                const size_t wi = static_cast<size_t>(p) / freqs.size();
-                const size_t fi = static_cast<size_t>(p) % freqs.size();
-                const WorkloadSpec *w = workloads[wi];
-                double peak = 0.0;
-                for (int s = 0; s < kSweepSeeds; ++s) {
-                    const RunResult run = local.runConstantFrequency(
-                        *w, seed + w->seedSalt + 97 * s, freqs[fi],
-                        steps);
-                    peak = std::max(peak, run.peakSeverity());
-                }
-                sweep.peak[wi][fi] = peak;
-            }
-        });
-    return sweep;
-}
-
-SeveritySweep
-severitySweep(SimulationPipeline &pipeline,
               const std::vector<const WorkloadSource *> &sources,
               const std::vector<GHz> &freqs, uint64_t seed, int steps)
 {
@@ -95,8 +50,15 @@ severitySweep(SimulationPipeline &pipeline,
     sweep.peak.assign(sources.size(),
                       std::vector<double>(freqs.size(), 0.0));
 
-    // Same fan-out as the spec sweep; each point clones the source so
-    // concurrent grid points never share generator state.
+    // Peak severity is a max statistic of a stochastic trace; evaluate
+    // a few seeded realizations per point so the safe/unsafe boundary
+    // is not an artifact of one phase realization.
+    //
+    // Every (workload, frequency) point is an independent run: fan the
+    // grid out over the pool, one private pipeline per chunk, each
+    // point writing its own slot — results are identical at any
+    // BOREAS_THREADS. Each point clones the source so concurrent grid
+    // points never share generator state.
     constexpr int kSweepSeeds = 3;
     const int64_t num_points =
         static_cast<int64_t>(sources.size() * freqs.size());
@@ -134,58 +96,6 @@ CriticalTempStudy::globalTable() const
 
 CriticalTempStudy
 criticalTempStudy(SimulationPipeline &pipeline,
-                  const std::vector<const WorkloadSpec *> &workloads,
-                  const std::vector<GHz> &freqs, int sensor_index,
-                  uint64_t seed, int steps)
-{
-    CriticalTempStudy study;
-    study.freqs = freqs;
-    for (const WorkloadSpec *w : workloads)
-        study.workloads.push_back(w->name);
-    study.crit.assign(workloads.size(),
-                      std::vector<Celsius>(freqs.size(),
-                                           kNoCriticalTemp));
-
-    // Traces are windows of longer executions: probe each operating
-    // point from several initial thermal states, including cool ones.
-    // Starting cool is what exposes the sensor-delay hazard — a fast
-    // hotspot can reach severity 1.0 while the delayed reading is
-    // still low, which is why observed critical temperatures drop
-    // (Sec. III-D: libquantum with a 960 us delay).
-    //
-    // Like severitySweep, the (workload, frequency) grid fans out over
-    // the pool with one private pipeline per chunk and one output slot
-    // per point.
-    const std::vector<GHz> warm_starts{3.0, kBaselineFrequency};
-    const int64_t num_points =
-        static_cast<int64_t>(workloads.size() * freqs.size());
-    ThreadPool::global().parallelFor(
-        0, num_points, 1, [&](int64_t lo, int64_t hi) {
-            SimulationPipeline local(pipeline.config());
-            for (int64_t p = lo; p < hi; ++p) {
-                const size_t wi = static_cast<size_t>(p) / freqs.size();
-                const size_t fi = static_cast<size_t>(p) % freqs.size();
-                const WorkloadSpec *w = workloads[wi];
-                Celsius crit = kNoCriticalTemp;
-                for (GHz warm : warm_starts) {
-                    const RunResult run = local.runConstantFrequency(
-                        *w, seed + w->seedSalt, freqs[fi], steps, warm);
-                    for (const auto &rec : run.steps) {
-                        if (rec.severity.maxSeverity >= 1.0) {
-                            crit = std::min(
-                                crit,
-                                rec.sensorReadings[sensor_index]);
-                        }
-                    }
-                }
-                study.crit[wi][fi] = crit;
-            }
-        });
-    return study;
-}
-
-CriticalTempStudy
-criticalTempStudy(SimulationPipeline &pipeline,
                   const std::vector<const WorkloadSource *> &sources,
                   const std::vector<GHz> &freqs, int sensor_index,
                   uint64_t seed, int steps)
@@ -198,6 +108,16 @@ criticalTempStudy(SimulationPipeline &pipeline,
                       std::vector<Celsius>(freqs.size(),
                                            kNoCriticalTemp));
 
+    // Traces are windows of longer executions: probe each operating
+    // point from several initial thermal states, including cool ones.
+    // Starting cool is what exposes the sensor-delay hazard — a fast
+    // hotspot can reach severity 1.0 while the delayed reading is
+    // still low, which is why observed critical temperatures drop
+    // (Sec. III-D: libquantum with a 960 us delay).
+    //
+    // Like severitySweep, the (workload, frequency) grid fans out over
+    // the pool with one private pipeline per chunk, and one source
+    // clone and one output slot per point.
     const std::vector<GHz> warm_starts{3.0, kBaselineFrequency};
     const int64_t num_points =
         static_cast<int64_t>(sources.size() * freqs.size());

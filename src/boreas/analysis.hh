@@ -39,18 +39,9 @@ struct SeveritySweep
 };
 
 /**
- * Run the Fig. 2 sweep: every workload at every frequency for `steps`
- * telemetry steps.
- */
-SeveritySweep severitySweep(SimulationPipeline &pipeline,
-                            const std::vector<const WorkloadSpec *> &
-                                workloads,
-                            const std::vector<GHz> &freqs,
-                            uint64_t seed, int steps = kTraceSteps);
-
-/**
- * Same sweep over arbitrary workload sources (mix:, adversarial:,
- * trace: — anything the registry builds). Each grid point runs a
+ * Run the Fig. 2 sweep: every workload source (synthetic, mix:,
+ * adversarial:, trace: — anything the registry builds) at every
+ * frequency for `steps` telemetry steps. Each grid point runs a
  * private clone of the source; rows are labeled with source names.
  */
 SeveritySweep severitySweep(SimulationPipeline &pipeline,
@@ -81,16 +72,9 @@ struct CriticalTempStudy
 /**
  * Critical-temperature characterization on the given sensor (with that
  * sensor's configured delay: the delay is what differentiates the
- * 180 us vs 960 us columns of the paper's study).
+ * 180 us vs 960 us columns of the paper's study), over arbitrary
+ * workload sources.
  */
-CriticalTempStudy criticalTempStudy(SimulationPipeline &pipeline,
-                                    const std::vector<
-                                        const WorkloadSpec *> &workloads,
-                                    const std::vector<GHz> &freqs,
-                                    int sensor_index, uint64_t seed,
-                                    int steps = kTraceSteps);
-
-/** The same study over arbitrary workload sources. */
 CriticalTempStudy criticalTempStudy(SimulationPipeline &pipeline,
                                     const std::vector<
                                         const WorkloadSource *> &sources,

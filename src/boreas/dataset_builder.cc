@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "ml/feature_schema.hh"
-#include "workload/registry.hh"
 
 namespace boreas
 {
@@ -141,23 +140,6 @@ runJob(SimulationPipeline &pipeline, const VFTable &vf,
 
 BuiltData
 buildTrainingData(SimulationPipeline &pipeline,
-                  const std::vector<const WorkloadSpec *> &workloads,
-                  const DatasetConfig &config)
-{
-    boreas_assert(!workloads.empty(), "no workloads");
-    std::vector<std::unique_ptr<WorkloadSource>> owned;
-    std::vector<const WorkloadSource *> sources;
-    owned.reserve(workloads.size());
-    sources.reserve(workloads.size());
-    for (const WorkloadSpec *spec : workloads) {
-        owned.push_back(makeSyntheticSource(*spec));
-        sources.push_back(owned.back().get());
-    }
-    return buildTrainingData(pipeline, sources, config);
-}
-
-BuiltData
-buildTrainingData(SimulationPipeline &pipeline,
                   const std::vector<const WorkloadSource *> &sources,
                   const DatasetConfig &config)
 {
@@ -178,8 +160,7 @@ buildTrainingData(SimulationPipeline &pipeline,
     // Phase 1 (serial): enumerate every trace job in emission order.
     std::vector<TraceJob> jobs;
     for (const WorkloadSource *base : sources) {
-        // groupId() == seedSalt for the synthetic suite, so every
-        // seed below matches the former spec-based enumeration.
+        // groupId() is the seedSalt of a wrapped suite program.
         const uint64_t salt = base->groupId();
         const int group = static_cast<int>(salt);
 

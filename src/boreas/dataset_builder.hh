@@ -81,24 +81,12 @@ struct BuiltData
 };
 
 /**
- * Generate training/evaluation data for the given workloads. Group ids
- * in the dataset are the workloads' seedSalt values (unique per
- * workload), preserving the paper's application-exclusive splits.
- * Wraps each spec as a synthetic source and forwards to the source
- * overload; seeds and emitted rows are unchanged.
- */
-BuiltData buildTrainingData(SimulationPipeline &pipeline,
-                            const std::vector<const WorkloadSpec *> &
-                                workloads,
-                            const DatasetConfig &config);
-
-/**
- * Source-generic data generation: any WorkloadSource (synthetic, nas,
- * mix, adversarial, trace replay) can contribute trajectories. Group
- * ids come from WorkloadSource::groupId(), which equals seedSalt for
- * the synthetic suite, so existing splits are untouched. Sources are
- * cloned per trace job (with cloneScaled() for the intensity
- * augments) and never mutated.
+ * Generate training/evaluation data from any WorkloadSource
+ * (synthetic, nas, mix, adversarial, trace replay). Group ids in the
+ * dataset come from WorkloadSource::groupId() (the seedSalt of a
+ * wrapped suite program, unique per workload), preserving the paper's
+ * application-exclusive splits. Sources are cloned per trace job (with
+ * cloneScaled() for the intensity augments) and never mutated.
  */
 BuiltData buildTrainingData(SimulationPipeline &pipeline,
                             const std::vector<const WorkloadSource *> &

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
-#include "workload/registry.hh"
 #include "workload/trace_io.hh"
 
 namespace boreas
@@ -99,24 +99,8 @@ SimulationPipeline::meanUnitPower(const WorkloadSource &source,
 }
 
 void
-SimulationPipeline::start(const WorkloadSpec &workload, uint64_t seed,
-                          GHz warm_freq_override)
-{
-    owned_ = makeSyntheticSource(workload);
-    startSource(*owned_, seed, warm_freq_override);
-}
-
-void
 SimulationPipeline::start(WorkloadSource &source, uint64_t seed,
                           GHz warm_freq_override)
-{
-    owned_.reset();
-    startSource(source, seed, warm_freq_override);
-}
-
-void
-SimulationPipeline::startSource(WorkloadSource &source, uint64_t seed,
-                                GHz warm_freq_override)
 {
     obs::ScopedTimer start_timer("stage.start");
     boreas_assert(source.numCores() >= 1 &&
@@ -305,8 +289,12 @@ SimulationPipeline::step(GHz freq)
 }
 
 RunResult
-SimulationPipeline::runConstInner(GHz freq, int steps)
+SimulationPipeline::runConstantFrequency(WorkloadSource &source,
+                                         uint64_t seed, GHz freq,
+                                         int steps,
+                                         GHz warm_freq_override)
 {
+    start(source, seed, warm_freq_override);
     RunResult result;
     result.steps.reserve(steps);
     for (int s = 0; s < steps; ++s)
@@ -318,48 +306,15 @@ SimulationPipeline::runConstInner(GHz freq, int steps)
 }
 
 RunResult
-SimulationPipeline::runConstantFrequency(const WorkloadSpec &workload,
-                                         uint64_t seed, GHz freq,
-                                         int steps,
-                                         GHz warm_freq_override)
+SimulationPipeline::runWithController(WorkloadSource &source,
+                                      uint64_t seed,
+                                      FrequencyController &controller,
+                                      GHz initial_freq, int steps)
 {
-    start(workload, seed, warm_freq_override);
-    return runConstInner(freq, steps);
-}
-
-RunResult
-SimulationPipeline::runConstantFrequency(WorkloadSource &source,
-                                         uint64_t seed, GHz freq,
-                                         int steps,
-                                         GHz warm_freq_override)
-{
-    start(source, seed, warm_freq_override);
-    return runConstInner(freq, steps);
-}
-
-RunResult
-SimulationPipeline::runControllerInner(FrequencyController &controller,
-                                       GHz initial_freq, int steps)
-{
+    start(source, seed);
     controller.reset();
-
-    RunResult result;
-    result.steps.reserve(steps);
     GHz freq = initial_freq;
-    for (int s = 0; s < steps; ++s) {
-        result.steps.push_back(step(freq));
-        if ((s + 1) % kStepsPerDecision == 0 && s + 1 < steps) {
-            obs::ScopedTimer timer("stage.controller");
-            DecisionContext ctx;
-            ctx.currentFreq = freq;
-            ctx.counters = &result.steps.back().counters;
-            ctx.sensorReadings = result.steps.back().sensorReadings;
-            ctx.vf = &vf_;
-            freq = controller.decide(ctx);
-            result.decidedFreqs.push_back(freq);
-        }
-    }
-    return result;
+    return continueWithController(controller, &freq, steps);
 }
 
 RunResult
@@ -388,30 +343,13 @@ SimulationPipeline::continueWithController(FrequencyController &controller,
 }
 
 RunResult
-SimulationPipeline::runWithController(const WorkloadSpec &workload,
-                                      uint64_t seed,
-                                      FrequencyController &controller,
-                                      GHz initial_freq, int steps)
-{
-    start(workload, seed);
-    return runControllerInner(controller, initial_freq, steps);
-}
-
-RunResult
-SimulationPipeline::runWithController(WorkloadSource &source,
-                                      uint64_t seed,
-                                      FrequencyController &controller,
-                                      GHz initial_freq, int steps)
-{
-    start(source, seed);
-    return runControllerInner(controller, initial_freq, steps);
-}
-
-RunResult
-SimulationPipeline::runScheduleInner(const std::vector<GHz> &schedule,
-                                     int steps)
+SimulationPipeline::runWithSchedule(WorkloadSource &source,
+                                    uint64_t seed,
+                                    const std::vector<GHz> &schedule,
+                                    int steps, GHz warm_freq_override)
 {
     boreas_assert(!schedule.empty(), "empty frequency schedule");
+    start(source, seed, warm_freq_override);
     RunResult result;
     result.steps.reserve(steps);
     for (int s = 0; s < steps; ++s) {
@@ -422,26 +360,6 @@ SimulationPipeline::runScheduleInner(const std::vector<GHz> &schedule,
     }
     result.decidedFreqs = schedule;
     return result;
-}
-
-RunResult
-SimulationPipeline::runWithSchedule(const WorkloadSpec &workload,
-                                    uint64_t seed,
-                                    const std::vector<GHz> &schedule,
-                                    int steps, GHz warm_freq_override)
-{
-    start(workload, seed, warm_freq_override);
-    return runScheduleInner(schedule, steps);
-}
-
-RunResult
-SimulationPipeline::runWithSchedule(WorkloadSource &source,
-                                    uint64_t seed,
-                                    const std::vector<GHz> &schedule,
-                                    int steps, GHz warm_freq_override)
-{
-    start(source, seed, warm_freq_override);
-    return runScheduleInner(schedule, steps);
 }
 
 } // namespace boreas

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "arch/core_model.hh"
@@ -32,7 +31,6 @@
 #include "sensors/sensor.hh"
 #include "thermal/thermal_grid.hh"
 #include "workload/source.hh"
-#include "workload/workload.hh"
 
 namespace boreas
 {
@@ -117,22 +115,14 @@ class SimulationPipeline
     const IntervalCore &coreModel() const { return core_; }
 
     /**
-     * Begin a run of the given workload. Resets thermal state (with
-     * warm start if configured), sensors and the workload's phase
-     * position/noise streams.
+     * Begin a run driven by the given workload source. Resets thermal
+     * state (with warm start if configured), sensors and the source
+     * (reset(seed)). The source must outlive the run; it may drive up
+     * to the floorplan's core count.
      *
      * @param warm_freq_override if > 0, warm-start at this frequency
      *        instead of config().warmStartFreq. Training traces use
      *        this to diversify initial thermal states.
-     */
-    void start(const WorkloadSpec &workload, uint64_t seed,
-               GHz warm_freq_override = 0.0);
-
-    /**
-     * Begin a run driven by an arbitrary workload source (the spec
-     * overload wraps the spec as a single-core synthetic source and
-     * forwards here). The source is reset(seed) and must outlive the
-     * run; it may drive up to the floorplan's core count.
      */
     void start(WorkloadSource &source, uint64_t seed,
                GHz warm_freq_override = 0.0);
@@ -168,26 +158,15 @@ class SimulationPipeline
      * Run `steps` telemetry steps at a fixed frequency (Fig. 2 sweeps,
      * dataset generation).
      */
-    RunResult runConstantFrequency(const WorkloadSpec &workload,
-                                   uint64_t seed, GHz freq,
-                                   int steps = kTraceSteps,
-                                   GHz warm_freq_override = 0.0);
-
     RunResult runConstantFrequency(WorkloadSource &source,
                                    uint64_t seed, GHz freq,
                                    int steps = kTraceSteps,
                                    GHz warm_freq_override = 0.0);
 
     /**
-     * Closed-loop run: the controller is consulted every
-     * kStepsPerDecision steps, starting at initial_freq.
+     * Closed-loop run: start(), controller.reset(), then
+     * continueWithController() from initial_freq.
      */
-    RunResult runWithController(const WorkloadSpec &workload,
-                                uint64_t seed,
-                                FrequencyController &controller,
-                                GHz initial_freq,
-                                int steps = kTraceSteps);
-
     RunResult runWithController(WorkloadSource &source, uint64_t seed,
                                 FrequencyController &controller,
                                 GHz initial_freq,
@@ -196,15 +175,16 @@ class SimulationPipeline
     /**
      * Advance an already-started run by `steps` telemetry steps under
      * closed-loop control, without resetting the controller or the
-     * pipeline. *freq carries the operating frequency across calls:
-     * the segment starts there and the last decision is written back,
-     * so chaining segments whose lengths are multiples of
-     * kStepsPerDecision reproduces one long runWithController() step
-     * stream (and runHash) bit for bit. Unlike runWithController()
-     * the controller is also consulted at the segment end — the fleet
-     * epoch barrier adjusts caps between segments, and the carried
-     * frequency must already reflect the die's own policy. Callers
-     * reset() the controller once before the first segment.
+     * pipeline. The controller is consulted after every
+     * kStepsPerDecision-th step, including the segment's last one.
+     * *freq carries the operating frequency across calls: the segment
+     * starts there and the last decision is written back, so chaining
+     * segments whose lengths are multiples of kStepsPerDecision
+     * reproduces one long runWithController() step stream (and
+     * runHash) bit for bit. The fleet epoch barrier adjusts caps
+     * between segments, so the carried frequency must already reflect
+     * the die's own policy. Callers reset() the controller once before
+     * the first segment.
      */
     RunResult continueWithController(FrequencyController &controller,
                                      GHz *freq, int steps);
@@ -214,31 +194,16 @@ class SimulationPipeline
      * per decision period; the last entry persists). Used to generate
      * training trajectories with frequency transitions.
      */
-    RunResult runWithSchedule(const WorkloadSpec &workload, uint64_t seed,
-                              const std::vector<GHz> &schedule,
-                              int steps = kTraceSteps,
-                              GHz warm_freq_override = 0.0);
-
     RunResult runWithSchedule(WorkloadSource &source, uint64_t seed,
                               const std::vector<GHz> &schedule,
                               int steps = kTraceSteps,
                               GHz warm_freq_override = 0.0);
 
   private:
-    /** Common start() body once the source to drive is known. */
-    void startSource(WorkloadSource &source, uint64_t seed,
-                     GHz warm_freq_override);
-
     /** Mean per-unit power of the source at a frequency (for warm
      *  start), probed on a fresh clone with ambient leakage. */
     std::vector<Watts> meanUnitPower(const WorkloadSource &source,
                                      uint64_t seed, GHz freq);
-
-    RunResult runConstInner(GHz freq, int steps);
-    RunResult runControllerInner(FrequencyController &controller,
-                                 GHz initial_freq, int steps);
-    RunResult runScheduleInner(const std::vector<GHz> &schedule,
-                               int steps);
 
     PipelineConfig config_;
     Floorplan floorplan_;
@@ -249,9 +214,8 @@ class SimulationPipeline
     SeverityModel severity_;
     SensorBank sensors_;
 
-    std::unique_ptr<WorkloadSource> owned_; ///< spec-overload wrapper
-    WorkloadSource *source_ = nullptr;      ///< driving the current run
-    TraceRecorder *recorder_ = nullptr;     ///< optional recording tap
+    WorkloadSource *source_ = nullptr;  ///< driving the current run
+    TraceRecorder *recorder_ = nullptr; ///< optional recording tap
     Rng sensorRng_{0};
     int stepIndex_ = 0;
     uint64_t runHash_ = 0;

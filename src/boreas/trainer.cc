@@ -15,12 +15,12 @@ namespace boreas
 
 TrainedBoreas
 trainBoreas(SimulationPipeline &pipeline,
-            const std::vector<const WorkloadSpec *> &train_workloads,
+            const std::vector<const WorkloadSource *> &train_sources,
             const TrainerConfig &config)
 {
     TrainedBoreas out;
 
-    BuiltData built = buildTrainingData(pipeline, train_workloads,
+    BuiltData built = buildTrainingData(pipeline, train_sources,
                                         config.data);
     out.fullTrainData = std::move(built.severity);
     boreas_assert(out.fullTrainData.numRows() > 0,

@@ -50,8 +50,8 @@ struct TrainedBoreas
 
 /** Run the full training pass on the given (training) workloads. */
 TrainedBoreas trainBoreas(SimulationPipeline &pipeline,
-                          const std::vector<const WorkloadSpec *> &
-                              train_workloads,
+                          const std::vector<const WorkloadSource *> &
+                              train_sources,
                           const TrainerConfig &config = {});
 
 /**

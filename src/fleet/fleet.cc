@@ -92,7 +92,7 @@ FleetSimulator::run()
     std::vector<DieSlot> slots(n);
 
     // Setup is serial: spec parsing is cheap, and a die that fails
-    // must be reported without disturbing its siblings. startSource()
+    // must be reported without disturbing its siblings. start()
     // panics on a core-count mismatch, so validate here instead.
     for (int i = 0; i < n; ++i) {
         const FleetDieSpec &die = config_.dies[i];

@@ -269,8 +269,23 @@ makeWorkloadSource(const std::string &spec_string)
 std::unique_ptr<WorkloadSource>
 makeSyntheticSource(const WorkloadSpec &spec)
 {
-    return std::make_unique<SyntheticSource>("synthetic:" + spec.name,
-                                             spec);
+    return std::make_unique<SyntheticSource>(spec.name, spec);
+}
+
+void
+SourceSet::add(std::unique_ptr<WorkloadSource> source)
+{
+    sources.push_back(source.get());
+    owned.push_back(std::move(source));
+}
+
+SourceSet
+wrapSpecs(const std::vector<const WorkloadSpec *> &specs)
+{
+    SourceSet set;
+    for (const WorkloadSpec *spec : specs)
+        set.add(makeSyntheticSource(*spec));
+    return set;
 }
 
 const std::string &

@@ -52,10 +52,28 @@ makeWorkloadSource(const std::string &spec_string);
 
 /**
  * Wrap one already-resolved phase program (e.g. a spec2006 suite
- * entry) as a single-core source named "synthetic:<spec.name>".
+ * entry) as a single-core source named by the bare spec.name, which
+ * the bare-name shorthand above resolves back to the same program.
  */
 std::unique_ptr<WorkloadSource>
 makeSyntheticSource(const WorkloadSpec &spec);
+
+/**
+ * Owned sources plus the pointer list the run, sweep, dataset and
+ * bench APIs take. `sources` points into `owned`, so keep the set
+ * alive while the pointers are in use (a temporary lives to the end
+ * of the call it is built in).
+ */
+struct SourceSet
+{
+    std::vector<std::unique_ptr<WorkloadSource>> owned;
+    std::vector<const WorkloadSource *> sources;
+
+    void add(std::unique_ptr<WorkloadSource> source);
+};
+
+/** Wrap each phase program with makeSyntheticSource(), in order. */
+SourceSet wrapSpecs(const std::vector<const WorkloadSpec *> &specs);
 
 /** One-line-per-form usage text for bench --workload help. */
 const std::string &workloadSourceGrammar();

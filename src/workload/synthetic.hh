@@ -1,10 +1,10 @@
 /**
  * @file
  * The single-core phase-program source: a WorkloadSpec run behind the
- * WorkloadSource interface. This is the adapter that lets every
- * legacy spec-based experiment ride the generator API with a
- * bit-identical stimulus stream (the wrapped WorkloadRun is seeded
- * and advanced exactly as the pre-subsystem pipeline did).
+ * WorkloadSource interface. Every suite program (spec2006, nas) runs
+ * as one of these, whether resolved by the registry or wrapped at a
+ * call site with makeSyntheticSource() / wrapSpecs(); the wrapped
+ * WorkloadRun is seeded and advanced exactly as the spec describes.
  */
 
 #pragma once

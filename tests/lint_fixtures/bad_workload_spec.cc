@@ -1,6 +1,8 @@
-// Fixture for the workload-spec-construction rule: constructing or
-// owning WorkloadSpec values outside src/workload fires; references,
-// pointers and registry lookups do not.
+// Fixture for the two WorkloadSpec rules. workload-spec-construction:
+// constructing or owning WorkloadSpec values outside src/workload
+// fires; references, pointers and registry lookups do not.
+// workload-spec-mention (fixtures lint as src/): every code line that
+// names WorkloadSpec fires, e.g. a spec-taking run overload.
 #include <memory>
 #include <vector>
 
@@ -58,6 +60,11 @@ allowed_construction()
     boreas::WorkloadSpec exempted;
     (void)exempted;
 }
+
+void bad_spec_overload(const boreas::WorkloadSpec &spec); // fires
+
+// boreas-lint: allow(workload-spec-mention)
+void allowed_spec_overload(const boreas::WorkloadSpec &spec);
 
 // WorkloadSpec spec; in a comment must not fire.
 inline const char *mention = "WorkloadSpec quoted;";

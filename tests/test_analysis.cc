@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "boreas/analysis.hh"
 #include "test_util.hh"
-#include "workload/spec2006.hh"
 
 using namespace boreas;
 using boreas::test::fastPipelineConfig;
@@ -12,12 +13,12 @@ using boreas::test::fastPipelineConfig;
 namespace
 {
 
-std::vector<const WorkloadSpec *>
+SourceSet
 pick(std::initializer_list<const char *> names)
 {
-    std::vector<const WorkloadSpec *> out;
+    SourceSet out;
     for (const char *n : names)
-        out.push_back(&findWorkload(n));
+        out.add(boreas::test::program(n));
     return out;
 }
 
@@ -27,18 +28,30 @@ TEST(SeveritySweep, ShapeAndMonotonicity)
 {
     SimulationPipeline p(fastPipelineConfig());
     const std::vector<GHz> freqs{3.0, 4.0, 5.0};
-    const SeveritySweep sweep = severitySweep(
-        p, pick({"povray", "cactusADM"}), freqs, 42, 75);
-    ASSERT_EQ(sweep.workloads.size(), 2u);
-    ASSERT_EQ(sweep.peak.size(), 2u);
+    // Two suite programs plus a two-core co-scheduled mix, so the
+    // multi-core source path runs through the sweep too.
+    const std::string mix = "mix:mcf+cg.B@stagger=0.8e-3";
+    SourceSet set = pick({"povray", "cactusADM"});
+    set.add(makeWorkloadSource(mix));
+    const SeveritySweep sweep =
+        severitySweep(p, set.sources, freqs, 42, 75);
+    ASSERT_EQ(sweep.workloads.size(), 3u);
+    ASSERT_EQ(sweep.peak.size(), 3u);
     ASSERT_EQ(sweep.peak[0].size(), 3u);
-    // Severity grows with frequency for both workloads.
+    // Severity grows with frequency for both suite programs.
     for (size_t w = 0; w < 2; ++w) {
         EXPECT_LE(sweep.peak[w][0], sweep.peak[w][1] + 0.05);
         EXPECT_LT(sweep.peak[w][1], sweep.peak[w][2]);
     }
     EXPECT_EQ(sweep.workloadIndex("cactusADM"), 1);
     EXPECT_EQ(sweep.workloadIndex("nope"), -1);
+    // The mix row is labeled with its source name and holds a real
+    // peak at every frequency.
+    EXPECT_EQ(sweep.workloads[2], mix);
+    for (double peak : sweep.peak[2]) {
+        EXPECT_TRUE(std::isfinite(peak));
+        EXPECT_GT(peak, 0.0);
+    }
 }
 
 TEST(SeveritySweep, OracleAndGlobalLimitLogic)
@@ -68,7 +81,8 @@ TEST(CriticalTemps, UnsafePointsHaveFiniteCriticalTemp)
     SimulationPipeline p(fastPipelineConfig());
     const std::vector<GHz> freqs{3.75, 5.0};
     const CriticalTempStudy study = criticalTempStudy(
-        p, pick({"povray"}), freqs, kBestSensorIndex, 42, 75);
+        p, pick({"povray"}).sources, freqs, kBestSensorIndex, 42,
+        75);
     ASSERT_EQ(study.crit.size(), 1u);
     // povray at 5.0 GHz is deep in unsafe territory: a critical
     // temperature must have been observed.
@@ -81,7 +95,8 @@ TEST(CriticalTemps, SafeWorkloadHasNoCriticalTemp)
     SimulationPipeline p(fastPipelineConfig());
     const std::vector<GHz> freqs{2.0};
     const CriticalTempStudy study = criticalTempStudy(
-        p, pick({"cactusADM"}), freqs, kBestSensorIndex, 42, 75);
+        p, pick({"cactusADM"}).sources, freqs, kBestSensorIndex, 42,
+        75);
     EXPECT_EQ(study.crit[0][0], kNoCriticalTemp);
 }
 
@@ -111,9 +126,11 @@ TEST(CriticalTemps, LargerDelayLowersCriticalTemp)
     SimulationPipeline p_fast(fast_sensor);
     SimulationPipeline p_slow(slow_sensor);
     const auto study_fast = criticalTempStudy(
-        p_fast, pick({"gromacs"}), freqs, kBestSensorIndex, 42, 150);
+        p_fast, pick({"gromacs"}).sources, freqs, kBestSensorIndex,
+        42, 150);
     const auto study_slow = criticalTempStudy(
-        p_slow, pick({"gromacs"}), freqs, kBestSensorIndex, 42, 150);
+        p_slow, pick({"gromacs"}).sources, freqs, kBestSensorIndex,
+        42, 150);
     ASSERT_LT(study_fast.crit[0][0], kNoCriticalTemp);
     ASSERT_LT(study_slow.crit[0][0], kNoCriticalTemp);
     EXPECT_LT(study_slow.crit[0][0], study_fast.crit[0][0]);

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "boreas/pipeline.hh"
+#include "test_util.hh"
 #include "workload/spec2006.hh"
 
 using namespace boreas;
@@ -13,14 +16,15 @@ namespace
 {
 
 double
-multiSeedPeak(SimulationPipeline &pipeline, const WorkloadSpec &w,
+multiSeedPeak(SimulationPipeline &pipeline, const std::string &name,
               GHz freq)
 {
+    const auto source = boreas::test::program(name);
     double peak = 0.0;
     for (uint64_t s : {0ULL, 97ULL, 194ULL}) {
         peak = std::max(peak,
                         pipeline.runConstantFrequency(
-                            w, 2023 + w.seedSalt + s, freq)
+                            *source, 2023 + source->groupId() + s, freq)
                             .peakSeverity());
     }
     return peak;
@@ -35,12 +39,12 @@ class CalibrationBoundary : public ::testing::TestWithParam<const char *>
 TEST_P(CalibrationBoundary, OracleIsSafeAndNextStepIsNot)
 {
     SimulationPipeline pipeline;
-    const WorkloadSpec &w = findWorkload(GetParam());
-    const GHz oracle = designOracleFrequency(w.name);
-    EXPECT_LT(multiSeedPeak(pipeline, w, oracle), 1.0) << w.name;
-    EXPECT_GE(multiSeedPeak(pipeline, w,
+    const std::string name = GetParam();
+    const GHz oracle = designOracleFrequency(name);
+    EXPECT_LT(multiSeedPeak(pipeline, name, oracle), 1.0) << name;
+    EXPECT_GE(multiSeedPeak(pipeline, name,
                             pipeline.vfTable().stepUp(oracle)), 1.0)
-        << w.name;
+        << name;
 }
 
 // One workload per oracle tier: the global-limit pair, a 4.0/4.25/4.5
@@ -54,8 +58,8 @@ TEST(CalibrationBoundary, BaselineSafeForHottestWorkload)
     // 3.75 GHz must be globally safe (Sec. III-C): check the two
     // workloads whose oracle IS the baseline.
     SimulationPipeline pipeline;
-    EXPECT_LT(multiSeedPeak(pipeline, findWorkload("povray"),
-                            kBaselineFrequency), 1.0);
-    EXPECT_LT(multiSeedPeak(pipeline, findWorkload("namd"),
-                            kBaselineFrequency), 1.0);
+    EXPECT_LT(multiSeedPeak(pipeline, "povray", kBaselineFrequency),
+              1.0);
+    EXPECT_LT(multiSeedPeak(pipeline, "namd", kBaselineFrequency),
+              1.0);
 }

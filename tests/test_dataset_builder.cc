@@ -7,7 +7,6 @@
 #include "boreas/dataset_builder.hh"
 #include "ml/feature_schema.hh"
 #include "test_util.hh"
-#include "workload/spec2006.hh"
 
 using namespace boreas;
 using boreas::test::fastPipelineConfig;
@@ -32,9 +31,9 @@ smallConfig()
 TEST(DatasetBuilder, InstanceCountMatchesConfig)
 {
     SimulationPipeline p(fastPipelineConfig());
-    const std::vector<const WorkloadSpec *> wl{&findWorkload("gamess")};
+    const SourceSet wl = wrapSpecs({&findWorkload("gamess")});
     const DatasetConfig cfg = smallConfig();
-    const BuiltData built = buildTrainingData(p, wl, cfg);
+    const BuiltData built = buildTrainingData(p, wl.sources, cfg);
 
     // Constant traces: per augment and frequency, (traceSteps -
     // horizon) instances.
@@ -49,9 +48,9 @@ TEST(DatasetBuilder, InstanceCountMatchesConfig)
 TEST(DatasetBuilder, GroupsAreWorkloadSalts)
 {
     SimulationPipeline p(fastPipelineConfig());
-    const std::vector<const WorkloadSpec *> wl{
-        &findWorkload("gamess"), &findWorkload("bzip2")};
-    const BuiltData built = buildTrainingData(p, wl, smallConfig());
+    const SourceSet wl = wrapSpecs({
+        &findWorkload("gamess"), &findWorkload("bzip2")});
+    const BuiltData built = buildTrainingData(p, wl.sources, smallConfig());
     const auto groups = built.severity.distinctGroups();
     const std::set<int> expect{
         static_cast<int>(findWorkload("gamess").seedSalt),
@@ -62,10 +61,10 @@ TEST(DatasetBuilder, GroupsAreWorkloadSalts)
 TEST(DatasetBuilder, FrequencyColumnMatchesTraceFrequency)
 {
     SimulationPipeline p(fastPipelineConfig());
-    const std::vector<const WorkloadSpec *> wl{&findWorkload("gamess")};
+    const SourceSet wl = wrapSpecs({&findWorkload("gamess")});
     DatasetConfig cfg = smallConfig();
     cfg.walkSegments = 0;
-    const BuiltData built = buildTrainingData(p, wl, cfg);
+    const BuiltData built = buildTrainingData(p, wl.sources, cfg);
     std::set<double> freqs_seen;
     for (size_t r = 0; r < built.severity.numRows(); ++r)
         freqs_seen.insert(built.severity.x(r, kFreqFeatureIndex));
@@ -75,8 +74,8 @@ TEST(DatasetBuilder, FrequencyColumnMatchesTraceFrequency)
 TEST(DatasetBuilder, LabelsAreSaneSeverities)
 {
     SimulationPipeline p(fastPipelineConfig());
-    const std::vector<const WorkloadSpec *> wl{&findWorkload("povray")};
-    const BuiltData built = buildTrainingData(p, wl, smallConfig());
+    const SourceSet wl = wrapSpecs({&findWorkload("povray")});
+    const BuiltData built = buildTrainingData(p, wl.sources, smallConfig());
     for (size_t r = 0; r < built.severity.numRows(); ++r) {
         EXPECT_GE(built.severity.y(r), 0.0);
         EXPECT_LT(built.severity.y(r), 5.0);
@@ -91,8 +90,8 @@ TEST(DatasetBuilder, LabelsAreSaneSeverities)
 TEST(DatasetBuilder, TemperatureColumnIsPlausible)
 {
     SimulationPipeline p(fastPipelineConfig());
-    const std::vector<const WorkloadSpec *> wl{&findWorkload("gamess")};
-    const BuiltData built = buildTrainingData(p, wl, smallConfig());
+    const SourceSet wl = wrapSpecs({&findWorkload("gamess")});
+    const BuiltData built = buildTrainingData(p, wl.sources, smallConfig());
     for (size_t r = 0; r < built.severity.numRows(); ++r) {
         const double temp = built.severity.x(r, kTempFeatureIndex);
         EXPECT_GT(temp, kAmbient - 1.0);
@@ -103,8 +102,8 @@ TEST(DatasetBuilder, TemperatureColumnIsPlausible)
 TEST(DatasetBuilder, PhaseSamplesShareTrajectories)
 {
     SimulationPipeline p(fastPipelineConfig());
-    const std::vector<const WorkloadSpec *> wl{&findWorkload("gamess")};
-    const BuiltData built = buildTrainingData(p, wl, smallConfig());
+    const SourceSet wl = wrapSpecs({&findWorkload("gamess")});
+    const BuiltData built = buildTrainingData(p, wl.sources, smallConfig());
     EXPECT_FALSE(built.phaseSamples.empty());
     for (const auto &s : built.phaseSamples) {
         EXPECT_EQ(s.counters.size(), kNumCounters);
@@ -118,9 +117,9 @@ TEST(DatasetBuilder, PhaseSamplesShareTrajectories)
 TEST(DatasetBuilder, DeterministicAcrossCalls)
 {
     SimulationPipeline p(fastPipelineConfig());
-    const std::vector<const WorkloadSpec *> wl{&findWorkload("bzip2")};
-    const BuiltData a = buildTrainingData(p, wl, smallConfig());
-    const BuiltData b = buildTrainingData(p, wl, smallConfig());
+    const SourceSet wl = wrapSpecs({&findWorkload("bzip2")});
+    const BuiltData a = buildTrainingData(p, wl.sources, smallConfig());
+    const BuiltData b = buildTrainingData(p, wl.sources, smallConfig());
     ASSERT_EQ(a.severity.numRows(), b.severity.numRows());
     for (size_t r = 0; r < a.severity.numRows(); r += 13) {
         EXPECT_DOUBLE_EQ(a.severity.y(r), b.severity.y(r));

@@ -49,21 +49,22 @@ struct SweepHashes
 SweepHashes
 sweepHashes()
 {
-    const std::vector<const WorkloadSpec *> wls{
-        &findWorkload("bzip2"), &findWorkload("gromacs")};
+    const SourceSet wls = wrapSpecs({
+        &findWorkload("bzip2"), &findWorkload("gromacs")});
     const std::vector<GHz> freqs{3.75, 4.75};
     constexpr int kSteps = 48;
 
     SweepHashes out;
-    out.stepHashes.resize(wls.size() * freqs.size());
-    out.runHashes.resize(wls.size() * freqs.size());
+    out.stepHashes.resize(wls.sources.size() * freqs.size());
+    out.runHashes.resize(wls.sources.size() * freqs.size());
     parallelForEach(
         0, static_cast<int64_t>(out.runHashes.size()), 1, [&](int64_t i) {
             SimulationPipeline pipeline(fastPipelineConfig());
             const size_t wi = static_cast<size_t>(i) / freqs.size();
             const size_t fi = static_cast<size_t>(i) % freqs.size();
+            const auto src = wls.sources[wi]->clone();
             const RunResult run = pipeline.runConstantFrequency(
-                *wls[wi], 11 + wls[wi]->seedSalt, freqs[fi], kSteps);
+                *src, 11 + src->groupId(), freqs[fi], kSteps);
             for (const StepRecord &s : run.steps)
                 out.stepHashes[i].push_back(s.stateHash);
             out.runHashes[i] = pipeline.runHash();
@@ -98,10 +99,10 @@ smallTrainingSet()
     cfg.frequencies = {3.75, 4.5};
     cfg.walkSegments = 2;
     cfg.traceSteps = 48;
-    const std::vector<const WorkloadSpec *> wls{
-        &findWorkload("povray"), &findWorkload("mcf")};
+    const SourceSet wls = wrapSpecs({
+        &findWorkload("povray"), &findWorkload("mcf")});
     SimulationPipeline pipeline(fastPipelineConfig());
-    return buildTrainingData(pipeline, wls, cfg).severity;
+    return buildTrainingData(pipeline, wls.sources, cfg).severity;
 }
 
 } // namespace
@@ -134,11 +135,11 @@ TEST(DeterminismAudit, StepHashDiscriminatesSeeds)
     // A hash that never changes would vacuously pass the audit; make
     // sure different seeds (and different steps) actually differ.
     SimulationPipeline pipeline(fastPipelineConfig());
-    const WorkloadSpec &wl = findWorkload("bzip2");
+    const auto wl = boreas::test::program("bzip2");
 
-    const RunResult a = pipeline.runConstantFrequency(wl, 1, 4.5, 16);
+    const RunResult a = pipeline.runConstantFrequency(*wl, 1, 4.5, 16);
     const uint64_t hash_a = pipeline.runHash();
-    const RunResult b = pipeline.runConstantFrequency(wl, 2, 4.5, 16);
+    const RunResult b = pipeline.runConstantFrequency(*wl, 2, 4.5, 16);
     const uint64_t hash_b = pipeline.runHash();
 
     EXPECT_NE(hash_a, hash_b);
@@ -150,11 +151,11 @@ TEST(DeterminismAudit, StepHashDiscriminatesSeeds)
 TEST(DeterminismAudit, RunHashReproducesForSameSeed)
 {
     SimulationPipeline pipeline(fastPipelineConfig());
-    const WorkloadSpec &wl = findWorkload("sjeng");
+    const auto wl = boreas::test::program("sjeng");
 
-    pipeline.runConstantFrequency(wl, 5, 4.25, 16);
+    pipeline.runConstantFrequency(*wl, 5, 4.25, 16);
     const uint64_t first = pipeline.runHash();
-    pipeline.runConstantFrequency(wl, 5, 4.25, 16);
+    pipeline.runConstantFrequency(*wl, 5, 4.25, 16);
     const uint64_t second = pipeline.runHash();
 
     EXPECT_EQ(first, second);

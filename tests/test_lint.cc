@@ -173,6 +173,12 @@ TEST(Lint, WorkloadSpecConstructionFires)
         << "declaration, braced temporary, make_unique and owning "
         "vector each fire; references, pointers, the allow() line and "
         "comment/string mentions must not";
+    EXPECT_EQ(countRule(vs, "workload-spec-mention"), 9)
+        << "the eight construction and view lines plus the spec "
+        "overload each fire; its allow() line and comment/string "
+        "mentions must not";
+    EXPECT_TRUE(firesOnLine(vs, "workload-spec-mention", 64));
+    EXPECT_FALSE(firesOnLine(vs, "workload-spec-mention", 67));
 }
 
 TEST(Lint, WorkloadSpecConstructionExemptInWorkloadModule)
@@ -182,6 +188,15 @@ TEST(Lint, WorkloadSpecConstructionExemptInWorkloadModule)
     EXPECT_TRUE(lintContent("src/workload/spec2006.cc", body).empty());
     EXPECT_EQ(countRule(lintContent("src/control/controller.cc", body),
                         "workload-spec-construction"), 1);
+
+    // Naming the type is held to src/ only: the workload module owns
+    // it, and bench/ and tests/ wrap suite programs into sources.
+    const std::string overload =
+        "void run(const boreas::WorkloadSpec &spec);\n";
+    EXPECT_EQ(countRule(lintContent("src/boreas/pipeline.cc", overload),
+                        "workload-spec-mention"), 1);
+    EXPECT_TRUE(lintContent("src/workload/registry.cc", overload).empty());
+    EXPECT_TRUE(lintContent("bench/harness.cc", overload).empty());
 }
 
 TEST(Lint, RawNewDeleteFires)

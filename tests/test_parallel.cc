@@ -176,19 +176,20 @@ namespace
 std::vector<RunResult>
 sweepRuns()
 {
-    const std::vector<const WorkloadSpec *> wls{
-        &findWorkload("bzip2"), &findWorkload("gamess")};
+    const SourceSet wls = wrapSpecs({
+        &findWorkload("bzip2"), &findWorkload("gamess")});
     const std::vector<GHz> freqs{3.75, 4.5};
     constexpr int kSteps = 48;
 
-    std::vector<RunResult> out(wls.size() * freqs.size());
+    std::vector<RunResult> out(wls.sources.size() * freqs.size());
     parallelForEach(
         0, static_cast<int64_t>(out.size()), 1, [&](int64_t i) {
             SimulationPipeline pipeline(fastPipelineConfig());
             const size_t wi = static_cast<size_t>(i) / freqs.size();
             const size_t fi = static_cast<size_t>(i) % freqs.size();
+            const auto src = wls.sources[wi]->clone();
             out[i] = pipeline.runConstantFrequency(
-                *wls[wi], 7 + wls[wi]->seedSalt, freqs[fi], kSteps);
+                *src, 7 + src->groupId(), freqs[fi], kSteps);
         });
     return out;
 }
@@ -238,16 +239,16 @@ TEST(Determinism, TrainingDataIsIdenticalAcrossThreadCounts)
     cfg.frequencies = {3.75, 4.5};
     cfg.walkSegments = 2;
     cfg.traceSteps = 48;
-    const std::vector<const WorkloadSpec *> wls{
-        &findWorkload("povray"), &findWorkload("mcf")};
+    const SourceSet wls = wrapSpecs({
+        &findWorkload("povray"), &findWorkload("mcf")});
 
     ThreadPool::resetGlobal(1);
     SimulationPipeline p1(fastPipelineConfig());
-    const BuiltData serial = buildTrainingData(p1, wls, cfg);
+    const BuiltData serial = buildTrainingData(p1, wls.sources, cfg);
 
     ThreadPool::resetGlobal(8);
     SimulationPipeline p8(fastPipelineConfig());
-    const BuiltData threaded = buildTrainingData(p8, wls, cfg);
+    const BuiltData threaded = buildTrainingData(p8, wls.sources, cfg);
 
     ASSERT_EQ(serial.severity.numRows(), threaded.severity.numRows());
     ASSERT_EQ(serial.severity.numFeatures(),

@@ -4,16 +4,16 @@
 
 #include "control/static_controllers.hh"
 #include "test_util.hh"
-#include "workload/spec2006.hh"
 
 using namespace boreas;
 using boreas::test::fastPipelineConfig;
+using boreas::test::program;
 
 TEST(Pipeline, RunProducesRequestedSteps)
 {
     SimulationPipeline p(fastPipelineConfig());
     const RunResult run = p.runConstantFrequency(
-        findWorkload("gamess"), 1, 4.0, 60);
+        *program("gamess"), 1, 4.0, 60);
     EXPECT_EQ(run.steps.size(), 60u);
     for (size_t i = 0; i < run.steps.size(); ++i) {
         EXPECT_EQ(run.steps[i].step, static_cast<int>(i));
@@ -28,13 +28,13 @@ TEST(Pipeline, WarmStartPreheatsTheDie)
 {
     PipelineConfig warm_cfg = fastPipelineConfig();
     SimulationPipeline warm(warm_cfg);
-    warm.start(findWorkload("povray"), 1);
+    warm.start(*program("povray"), 1);
     EXPECT_GT(warm.thermalGrid().maxSiliconTemp(), kAmbient + 15.0);
 
     PipelineConfig cold_cfg = fastPipelineConfig();
     cold_cfg.warmStart = false;
     SimulationPipeline cold(cold_cfg);
-    cold.start(findWorkload("povray"), 1);
+    cold.start(*program("povray"), 1);
     EXPECT_NEAR(cold.thermalGrid().maxSiliconTemp(), kAmbient, 1e-9);
 }
 
@@ -42,9 +42,9 @@ TEST(Pipeline, SameSeedReproducesRunExactly)
 {
     SimulationPipeline p(fastPipelineConfig());
     const RunResult a = p.runConstantFrequency(
-        findWorkload("bzip2"), 42, 4.25, 48);
+        *program("bzip2"), 42, 4.25, 48);
     const RunResult b = p.runConstantFrequency(
-        findWorkload("bzip2"), 42, 4.25, 48);
+        *program("bzip2"), 42, 4.25, 48);
     for (size_t i = 0; i < a.steps.size(); ++i) {
         EXPECT_DOUBLE_EQ(a.steps[i].severity.maxSeverity,
                          b.steps[i].severity.maxSeverity);
@@ -56,9 +56,9 @@ TEST(Pipeline, DifferentSeedsDiverge)
 {
     SimulationPipeline p(fastPipelineConfig());
     const RunResult a = p.runConstantFrequency(
-        findWorkload("bzip2"), 1, 4.25, 48);
+        *program("bzip2"), 1, 4.25, 48);
     const RunResult b = p.runConstantFrequency(
-        findWorkload("bzip2"), 2, 4.25, 48);
+        *program("bzip2"), 2, 4.25, 48);
     bool differ = false;
     for (size_t i = 0; i < a.steps.size() && !differ; ++i)
         differ = a.steps[i].totalPower != b.steps[i].totalPower;
@@ -73,13 +73,13 @@ class PipelineFrequencyMonotone
 TEST_P(PipelineFrequencyMonotone, PeakSeverityGrowsWithFrequency)
 {
     SimulationPipeline p(fastPipelineConfig());
-    const WorkloadSpec &w = findWorkload(GetParam());
+    const auto w = program(GetParam());
     const double low =
-        p.runConstantFrequency(w, 3, 2.5, 75).peakSeverity();
+        p.runConstantFrequency(*w, 3, 2.5, 75).peakSeverity();
     const double mid =
-        p.runConstantFrequency(w, 3, 4.0, 75).peakSeverity();
+        p.runConstantFrequency(*w, 3, 4.0, 75).peakSeverity();
     const double high =
-        p.runConstantFrequency(w, 3, 5.0, 75).peakSeverity();
+        p.runConstantFrequency(*w, 3, 5.0, 75).peakSeverity();
     EXPECT_LE(low, mid + 0.05);
     EXPECT_LT(mid, high);
 }
@@ -95,7 +95,7 @@ TEST(Pipeline, SensorReadingsLagTruthWithDelay)
     SimulationPipeline p(cfg);
     // Run hot so temperatures rise monotonically-ish.
     const RunResult run = p.runConstantFrequency(
-        findWorkload("povray"), 1, 5.0, 60);
+        *program("povray"), 1, 5.0, 60);
     // While heating, a delayed reading must be below the true value.
     const auto &last = run.steps.back();
     EXPECT_LT(last.sensorReadings[kBestSensorIndex],
@@ -108,7 +108,7 @@ TEST(Pipeline, ZeroDelaySensorsMatchTruth)
     cfg.sensors.delaySteps = 0;
     SimulationPipeline p(cfg);
     const RunResult run = p.runConstantFrequency(
-        findWorkload("gamess"), 1, 4.0, 30);
+        *program("gamess"), 1, 4.0, 30);
     const auto &rec = run.steps.back();
     for (size_t s = 0; s < rec.sensorReadings.size(); ++s)
         EXPECT_DOUBLE_EQ(rec.sensorReadings[s], rec.sensorTrue[s]);
@@ -119,7 +119,7 @@ TEST(Pipeline, ControllerIsConsultedEveryDecisionPeriod)
     SimulationPipeline p(fastPipelineConfig());
     FixedFrequencyController hold("hold", 4.0);
     const RunResult run = p.runWithController(
-        findWorkload("gamess"), 1, hold, 3.75, kTraceSteps);
+        *program("gamess"), 1, hold, 3.75, kTraceSteps);
     // 150 steps / 12 per decision = 12 decisions (the last partial
     // window gets no decision).
     EXPECT_EQ(run.decidedFreqs.size(), 12u);
@@ -128,6 +128,13 @@ TEST(Pipeline, ControllerIsConsultedEveryDecisionPeriod)
     EXPECT_DOUBLE_EQ(run.steps[11].frequency, 3.75);
     EXPECT_DOUBLE_EQ(run.steps[12].frequency, 4.0);
     EXPECT_DOUBLE_EQ(run.steps.back().frequency, 4.0);
+
+    // A whole number of periods: the last step closes a window, so the
+    // controller is consulted after it too (144 / 12 = 12 decisions).
+    const RunResult whole = p.runWithController(
+        *program("gamess"), 1, hold, 3.75, 12 * kStepsPerDecision);
+    EXPECT_EQ(whole.steps.size(), 144u);
+    EXPECT_EQ(whole.decidedFreqs.size(), 12u);
 }
 
 TEST(Pipeline, ScheduleIsFollowedPerDecisionWindow)
@@ -135,7 +142,7 @@ TEST(Pipeline, ScheduleIsFollowedPerDecisionWindow)
     SimulationPipeline p(fastPipelineConfig());
     const std::vector<GHz> schedule{3.0, 4.0, 2.5};
     const RunResult run = p.runWithSchedule(
-        findWorkload("gamess"), 1, schedule, 48);
+        *program("gamess"), 1, schedule, 48);
     EXPECT_DOUBLE_EQ(run.steps[0].frequency, 3.0);
     EXPECT_DOUBLE_EQ(run.steps[11].frequency, 3.0);
     EXPECT_DOUBLE_EQ(run.steps[12].frequency, 4.0);
@@ -149,7 +156,7 @@ TEST(Pipeline, RunResultAggregates)
     SimulationPipeline p(fastPipelineConfig());
     const std::vector<GHz> schedule{3.0, 4.0};
     const RunResult run = p.runWithSchedule(
-        findWorkload("gamess"), 1, schedule, 24);
+        *program("gamess"), 1, schedule, 24);
     EXPECT_NEAR(run.averageFrequency(), 3.5, 1e-9);
     EXPECT_GE(run.peakSeverity(), 0.0);
     EXPECT_GE(run.incursionSteps(), 0);
@@ -162,9 +169,9 @@ TEST(Pipeline, HotterWorkloadsRunHotter)
     // rests on.
     SimulationPipeline p(fastPipelineConfig());
     const double hot = p.runConstantFrequency(
-        findWorkload("povray"), 1, 4.5, 75).peakSeverity();
+        *program("povray"), 1, 4.5, 75).peakSeverity();
     const double cool = p.runConstantFrequency(
-        findWorkload("cactusADM"), 1, 4.5, 75).peakSeverity();
+        *program("cactusADM"), 1, 4.5, 75).peakSeverity();
     EXPECT_GT(hot, cool + 0.1);
 }
 

@@ -315,8 +315,8 @@ TEST(DatasetBuilderProperties, LabelsRespectTheClamp)
     cfg.walkSegments = 0;
     cfg.traceSteps = 60;
     cfg.labelClamp = 1.1;
-    const std::vector<const WorkloadSpec *> wl{&findWorkload("povray")};
-    const BuiltData built = buildTrainingData(p, wl, cfg);
+    const SourceSet wl = wrapSpecs({&findWorkload("povray")});
+    const BuiltData built = buildTrainingData(p, wl.sources, cfg);
     double max_label = 0.0;
     for (size_t r = 0; r < built.severity.numRows(); ++r)
         max_label = std::max(max_label, built.severity.y(r));
@@ -337,9 +337,9 @@ TEST(DatasetBuilderProperties, LongerHorizonNeverLowersLabels)
     short_cfg.intensityAugments = {1.0}; // single trace: rows align
     DatasetConfig long_cfg = short_cfg;
     long_cfg.horizonSteps = 24;
-    const std::vector<const WorkloadSpec *> wl{&findWorkload("gamess")};
-    const BuiltData a = buildTrainingData(p, wl, short_cfg);
-    const BuiltData b = buildTrainingData(p, wl, long_cfg);
+    const SourceSet wl = wrapSpecs({&findWorkload("gamess")});
+    const BuiltData a = buildTrainingData(p, wl.sources, short_cfg);
+    const BuiltData b = buildTrainingData(p, wl.sources, long_cfg);
     // Rows align on the first (traceSteps - 24) instances.
     const size_t n = b.severity.numRows();
     ASSERT_LE(n, a.severity.numRows());

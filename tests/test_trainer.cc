@@ -15,6 +15,7 @@
 
 using namespace boreas;
 using boreas::test::fastPipelineConfig;
+using boreas::test::program;
 using boreas::test::tinyTrainerConfig;
 
 namespace
@@ -28,13 +29,14 @@ struct TrainerFixture : public ::testing::Test
     {
         pipeline = std::make_unique<SimulationPipeline>(
             fastPipelineConfig());
-        const std::vector<const WorkloadSpec *> train_set{
+        const SourceSet train_set = wrapSpecs({
             &findWorkload("povray"), &findWorkload("gromacs"),
             &findWorkload("sjeng"), &findWorkload("libquantum"),
             &findWorkload("mcf"), &findWorkload("namd"),
-        };
+        });
         trained = std::make_unique<TrainedBoreas>(
-            trainBoreas(*pipeline, train_set, tinyTrainerConfig()));
+            trainBoreas(*pipeline, train_set.sources,
+                        tinyTrainerConfig()));
     }
 
     static void
@@ -100,9 +102,9 @@ TEST_F(TrainerFixture, GeneralizesToUnseenWorkload)
     // Build an evaluation set from a *test* workload and check the
     // deployed model predicts severity with useful accuracy.
     DatasetConfig eval_cfg = tinyTrainerConfig().data;
-    const std::vector<const WorkloadSpec *> test_wl{
-        &findWorkload("gamess")};
-    const BuiltData eval = buildTrainingData(*pipeline, test_wl,
+    const SourceSet test_wl = wrapSpecs({
+        &findWorkload("gamess")});
+    const BuiltData eval = buildTrainingData(*pipeline, test_wl.sources,
                                              eval_cfg);
     const double mse = evaluateMse(trained->model,
                                    trained->featureNames,
@@ -122,14 +124,14 @@ TEST_F(TrainerFixture, Ml05ControlsUnseenWorkloadEffectively)
                           trained->featureNames, 0.05,
                           kBestSensorIndex);
     const RunResult run = pipeline->runWithController(
-        findWorkload("bzip2"), 5, ml05, kBaselineFrequency);
+        *program("bzip2"), 5, ml05, kBaselineFrequency);
     EXPECT_GE(run.averageFrequency(), kBaselineFrequency - 1e-9);
     EXPECT_LT(run.peakSeverity(), 1.5);
 
     // Reference: pinned at 5.0 GHz the same workload is deep in unsafe
     // territory for much of the trace.
     const RunResult wild = pipeline->runConstantFrequency(
-        findWorkload("bzip2"), 5, kMaxFrequency);
+        *program("bzip2"), 5, kMaxFrequency);
     EXPECT_LT(run.peakSeverity(), wild.peakSeverity());
     EXPECT_LT(run.incursionSteps(), wild.incursionSteps());
 }
@@ -143,9 +145,9 @@ TEST_F(TrainerFixture, GuardbandTradesFrequencyForSafety)
                           trained->featureNames, 0.10,
                           kBestSensorIndex);
     const RunResult run00 = pipeline->runWithController(
-        findWorkload("h264ref"), 5, ml00, kBaselineFrequency);
+        *program("h264ref"), 5, ml00, kBaselineFrequency);
     const RunResult run10 = pipeline->runWithController(
-        findWorkload("h264ref"), 5, ml10, kBaselineFrequency);
+        *program("h264ref"), 5, ml10, kBaselineFrequency);
     EXPECT_GE(run00.averageFrequency(),
               run10.averageFrequency() - 1e-9);
     // The conservative model stays clear of the line.
@@ -156,16 +158,16 @@ TEST_F(TrainerFixture, ThermalControllerFromStudyIsSafe)
 {
     // Derive the TH-00 table from the training workloads, then run a
     // test workload closed-loop.
-    const std::vector<const WorkloadSpec *> train_set{
+    const SourceSet train_set = wrapSpecs({
         &findWorkload("povray"), &findWorkload("gromacs"),
         &findWorkload("sjeng"),
-    };
+    });
     const CriticalTempStudy study = criticalTempStudy(
-        *pipeline, train_set, pipeline->vfTable().frequencies(),
+        *pipeline, train_set.sources, pipeline->vfTable().frequencies(),
         kBestSensorIndex, 42, 75);
     ThermalThresholdController th00("TH-00", study.globalTable(), 0.0,
                                     kBestSensorIndex);
     const RunResult run = pipeline->runWithController(
-        findWorkload("gamess"), 5, th00, kBaselineFrequency);
+        *program("gamess"), 5, th00, kBaselineFrequency);
     EXPECT_EQ(run.incursionSteps(), 0);
 }

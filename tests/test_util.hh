@@ -2,15 +2,21 @@
  * @file
  * Shared helpers for the Boreas test suite: a reduced-cost pipeline
  * configuration (coarser thermal grid) and a tiny trainer configuration
- * so integration tests run in seconds. Physics-calibration assertions
+ * so integration tests run in seconds, plus the one-program source
+ * wrapper the run APIs take. Physics-calibration assertions
  * (exact severity values) only hold at the default 64x64 grid and are
  * confined to the tests that use defaults.
  */
 
 #pragma once
 
+#include <memory>
+#include <string>
+
 #include "boreas/pipeline.hh"
 #include "boreas/trainer.hh"
+#include "workload/registry.hh"
+#include "workload/spec2006.hh"
 
 namespace boreas::test
 {
@@ -36,6 +42,13 @@ tinyTrainerConfig()
     cfg.data.traceSteps = 96;
     cfg.gbt.nEstimators = 100;
     return cfg;
+}
+
+/** One spec2006 program wrapped as a source named by its bare name. */
+inline std::unique_ptr<WorkloadSource>
+program(const std::string &name)
+{
+    return makeSyntheticSource(findWorkload(name));
 }
 
 } // namespace boreas::test

@@ -170,28 +170,28 @@ TEST(WorkloadRegistry, SplitSpecListPreservesEmptyEntries)
     EXPECT_EQ(splitWorkloadSpecList("a,"), V({"a", ""}));
 }
 
-// --- Spec vs. source byte identity -------------------------------------
+// --- Wrapped specs resolve by name -----------------------------------
 
-TEST(WorkloadSource, SyntheticWrapperIsBitIdenticalToSpecRun)
+TEST(WorkloadSource, WrappedSpecNameResolvesToSameRun)
 {
-    // The spec overload of runConstantFrequency wraps the spec in a
-    // SyntheticSource and forwards; both entry points must therefore
-    // produce the same runHash bit for bit.
-    SimulationPipeline a(fastPipelineConfig());
-    SimulationPipeline b(fastPipelineConfig());
-    const WorkloadSpec &wl = findWorkload("omnetpp");
+    // A wrapped suite program is named by its bare program name, so a
+    // trace header or manifest that records the name can resolve it
+    // through the registry again and reproduce the run bit for bit.
+    for (const WorkloadSpec &spec : spec2006Suite()) {
+        const auto wrapped = makeSyntheticSource(spec);
+        std::string error;
+        const auto resolved =
+            tryMakeWorkloadSource(wrapped->name(), &error);
+        ASSERT_NE(resolved, nullptr) << wrapped->name() << ": " << error;
 
-    const RunResult ra = a.runConstantFrequency(wl, 42, 4.5, 48);
-    auto source = makeSyntheticSource(wl);
-    const RunResult rb = b.runConstantFrequency(*source, 42, 4.5, 48);
-
-    ASSERT_EQ(ra.steps.size(), rb.steps.size());
-    for (size_t i = 0; i < ra.steps.size(); ++i)
-        ASSERT_EQ(ra.steps[i].stateHash, rb.steps[i].stateHash)
-            << "step " << i;
-    EXPECT_EQ(a.runHash(), b.runHash());
-    // Single-core runs keep the legacy record shape.
-    EXPECT_TRUE(rb.steps.front().coreCounters.empty());
+        SimulationPipeline a(fastPipelineConfig());
+        SimulationPipeline b(fastPipelineConfig());
+        const RunResult ra = a.runConstantFrequency(*wrapped, 42, 4.5, 48);
+        b.runConstantFrequency(*resolved, 42, 4.5, 48);
+        EXPECT_EQ(a.runHash(), b.runHash()) << spec.name;
+        // Single-core runs keep the one-core record shape.
+        EXPECT_TRUE(ra.steps.front().coreCounters.empty()) << spec.name;
+    }
 }
 
 // --- mix: staggered starts ---------------------------------------------
@@ -321,8 +321,8 @@ TEST(WorkloadAdversarial, PowerVirusOutheatsSoloWorkload)
     const RunResult rv = a.runConstantFrequency(*virus, 2023, 4.5, 48);
 
     SimulationPipeline b(fastPipelineConfig());
-    const RunResult rs =
-        b.runConstantFrequency(findWorkload("povray"), 2023, 4.5, 48);
+    const RunResult rs = b.runConstantFrequency(
+        *boreas::test::program("povray"), 2023, 4.5, 48);
 
     EXPECT_GT(rv.peakSeverity(), rs.peakSeverity());
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "boreas/pipeline.hh"
+#include "workload/registry.hh"
 #include "workload/spec2006.hh"
 
 using namespace boreas;
@@ -23,11 +24,12 @@ peakSeverityAt(SimulationPipeline &pipeline, const WorkloadSpec &w,
 {
     // Match the multi-seed max statistic used by severitySweep so the
     // calibrated crossing survives seed changes.
+    const auto source = makeSyntheticSource(w);
     double peak = 0.0;
     for (uint64_t s : {0ULL, 97ULL, 194ULL}) {
         peak = std::max(peak,
                         pipeline.runConstantFrequency(
-                            w, 2023 + w.seedSalt + s, freq)
+                            *source, 2023 + source->groupId() + s, freq)
                             .peakSeverity());
     }
     return peak;

@@ -26,6 +26,9 @@
  *   workload-spec-construction
  *                       WorkloadSpec built outside src/workload; go
  *                       through the source registry.
+ *   workload-spec-mention
+ *                       WorkloadSpec named in src/ outside
+ *                       src/workload; APIs above it take sources.
  *   raw-new-delete      Raw new/delete expressions (`= delete`
  *                       declarations are fine).
  *   header-guard        Headers use #pragma once, without a legacy

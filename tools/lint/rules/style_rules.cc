@@ -113,6 +113,14 @@ const LineRule kLineRules[] = {
      "(workload/registry.hh) or the suite accessors so every "
      "stimulus is a named, registered source",
      false, srcOrBench, isWorkloadModule},
+    {"workload-spec-mention",
+     "WorkloadSpec named in src/ outside src/workload",
+     R"(\bWorkloadSpec\b)",
+     "WorkloadSpec named outside src/workload; run, sweep, dataset "
+     "and training APIs take WorkloadSource only, so wrap suite "
+     "programs at the call site (makeSyntheticSource / wrapSpecs in "
+     "workload/registry.hh)",
+     false, nullptr, isWorkloadModule},
     {"flat-gbt-predict",
      "per-tree GBT walking outside src/ml",
      R"(\bGBTTree\b|\btrees\(\)\s*(\[|\.at\s*\())",
