@@ -72,7 +72,6 @@ FleetConfig
 fleetConfigFor(Scale scale, Watts budget)
 {
     FleetConfig cfg;
-    cfg.base = benchPipelineConfig();
     int dies = 8;
     cfg.epochs = 3;
     cfg.epochSteps = 3 * kStepsPerDecision;

@@ -26,23 +26,6 @@ benchScale()
                  env);
 }
 
-ThermalSolverKind
-benchThermalSolver()
-{
-    const char *env = std::getenv("BOREAS_THERMAL_SOLVER");
-    if (env == nullptr)
-        return ThermalSolverKind::Spectral;
-    return parseThermalSolverName(env);
-}
-
-PipelineConfig
-benchPipelineConfig()
-{
-    PipelineConfig config;
-    config.thermal.solver = benchThermalSolver();
-    return config;
-}
-
 SourceSet
 BenchOptions::sources(const std::vector<const WorkloadSpec *> &defaults)
     const
@@ -137,14 +120,12 @@ ExperimentContext::crController() const
 std::unique_ptr<ExperimentContext>
 buildExperimentContext()
 {
-    auto ctx = std::make_unique<ExperimentContext>(benchPipelineConfig());
+    auto ctx = std::make_unique<ExperimentContext>();
 
     const Scale scale = benchScale();
-    std::fprintf(stderr,
-                 "[bench] training Boreas (scale=%s, thermal=%s)...\n",
+    std::fprintf(stderr, "[bench] training Boreas (scale=%s)...\n",
                  scale == Scale::Small ? "small"
-                 : scale == Scale::Paper ? "paper" : "full",
-                 thermalSolverName(benchThermalSolver()));
+                 : scale == Scale::Paper ? "paper" : "full");
 
     TrainerConfig tcfg;
     tcfg.data = datasetConfigFor(scale);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared setup for the paper-reproduction bench harnesses: the default
- * pipeline, the full-scale training pass, the TH critical-temperature
+ * pipeline (PipelineConfig{}, which steps the spectral thermal
+ * solver), the full-scale training pass, the TH critical-temperature
  * table, and the standard controller set (TH-00/05/10, ML00/05/10,
  * oracle, global limit, Cochran-Reda).
  *
@@ -40,18 +41,6 @@ enum class Scale
 };
 
 Scale benchScale();
-
-/**
- * Thermal integrator the benches run, selected via the environment
- * variable BOREAS_THERMAL_SOLVER ("explicit" / "spectral"). Defaults
- * to the spectral fast path — the cheapest way to produce every
- * figure; set "explicit" to reproduce the reference integrator's
- * trajectories. Both are bitwise identical on every host.
- */
-ThermalSolverKind benchThermalSolver();
-
-/** The default bench PipelineConfig with benchThermalSolver() applied. */
-PipelineConfig benchPipelineConfig();
 
 /** Seed shared by all benches so figures are cross-consistent. */
 constexpr uint64_t kBenchSeed = 2023;
@@ -97,12 +86,6 @@ DatasetConfig datasetConfigFor(Scale scale);
 /** Everything the evaluation benches share. */
 struct ExperimentContext
 {
-    ExperimentContext() = default;
-    explicit ExperimentContext(const PipelineConfig &config)
-        : pipeline(config)
-    {
-    }
-
     SimulationPipeline pipeline;
     TrainedBoreas trained;
     CriticalTempTable thTable;          ///< train-set global criticals

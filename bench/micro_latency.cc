@@ -210,7 +210,6 @@ BM_SpectralCycle(benchmark::State &bm)
 {
     const Floorplan fp = buildSkylakeFloorplan();
     ThermalParams params;
-    params.solver = ThermalSolverKind::Spectral;
     params.spectralShadowCheck = false;
     ThermalGrid grid(fp, params);
     Rng rng(80);

@@ -1,6 +1,7 @@
 #include "report.hh"
 
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -31,6 +32,24 @@ scaleName(Scale scale)
     return "full";
 }
 
+/** The first "model name" of /proc/cpuinfo; "" when unreadable. */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            return "";
+        const size_t begin = line.find_first_not_of(" \t", colon + 1);
+        return begin == std::string::npos ? "" : line.substr(begin);
+    }
+    return "";
+}
+
 } // namespace
 
 LatencySummary
@@ -57,6 +76,7 @@ BenchReport::BenchReport(std::string id) : id_(std::move(id))
     artifact_.manifest.threads = ThreadPool::global().numThreads();
     artifact_.manifest.seed = kBenchSeed;
     artifact_.manifest.simdDispatch = Dct2Plan::dispatchedClone();
+    artifact_.manifest.cpuModel = cpuModel();
     t0_ = std::chrono::steady_clock::now();
 }
 
@@ -85,12 +105,6 @@ void
 BenchReport::seed(uint64_t value)
 {
     artifact_.manifest.seed = value;
-}
-
-void
-BenchReport::thermalSolver(const std::string &name)
-{
-    artifact_.manifest.thermalSolver = name;
 }
 
 void

@@ -53,7 +53,8 @@ class BenchReport
     /**
      * Start a report for BENCH_<id>.json. Enables the observability
      * layer, clears any prior metrics/trace state and fills the
-     * manifest with the bench scale, thread count and default seed.
+     * manifest with the bench scale, thread count, default seed, SIMD
+     * dispatch and host CPU model.
      */
     explicit BenchReport(std::string id);
 
@@ -69,9 +70,6 @@ class BenchReport
 
     /** Override the manifest seed (defaults to kBenchSeed). */
     void seed(uint64_t value);
-
-    /** Record which thermal integrator the headline runs used. */
-    void thermalSolver(const std::string &name);
 
     /** Record the pipeline runHash fingerprint of the headline run. */
     void runHash(uint64_t value);

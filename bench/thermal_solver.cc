@@ -1,29 +1,33 @@
 /**
  * @file
- * Thermal-solver bench: accuracy and speed of the spectral exponential
- * integrator against the explicit reference (DESIGN.md §9).
+ * Thermal-solver bench: accuracy and speed of the grid's spectral
+ * exponential integrator against the forward-Euler reference
+ * (thermal/explicit_reference.hh, DESIGN.md §9).
  *
  * Accuracy phases (fig7-style power schedule, controller cadence):
- *   - per-step divergence from the production explicit reference,
- *     re-syncing to its state every step (what the checked-build
- *     shadow run measures; bounded by spectralShadowTolerance);
- *   - per-step divergence from a 16x-refined explicit reference whose
+ *   - per-step divergence from the reference at the production
+ *     dtSafety, re-syncing to its state every step (what the
+ *     checked-build shadow run measures; bounded by
+ *     spectralShadowTolerance);
+ *   - per-step divergence from a 16x-refined reference whose
  *     truncation error is near zero — the documented 0.05 C bound on
  *     spectral error "vs exact" that CI enforces (this bench exits
  *     nonzero when it is exceeded);
  *   - free-running trajectory divergence (no re-sync), which is
- *     dominated by the *explicit* integrator's accumulated truncation.
+ *     dominated by the reference's accumulated truncation.
  *
  * Timing phase: microseconds per telemetry step for each integrator,
  * step-only (the stage.thermal cost) and full cycle (power ingest +
- * step + temperature publish), plus the resulting speedup columns in
+ * step + temperature read), plus the resulting speedup columns in
  * BENCH_thermal_solver.json.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -31,6 +35,7 @@
 #include "floorplan/skylake.hh"
 #include "harness.hh"
 #include "report.hh"
+#include "thermal/explicit_reference.hh"
 #include "thermal/spectral_solver.hh"
 #include "thermal/thermal_grid.hh"
 
@@ -42,20 +47,8 @@ namespace
 
 /** The documented spectral-vs-exact bound CI enforces, Celsius. */
 constexpr double kExactnessBound = 0.05;
-/** Refinement factor of the near-exact explicit reference. */
+/** dtSafety of the near-exact (16x-refined) forward-Euler reference. */
 constexpr double kRefinedDtSafety = 0.025;
-
-std::vector<Watts>
-scatterPower(const std::vector<UnitCellMap> &maps,
-             const std::vector<Watts> &unit_power, int n)
-{
-    std::vector<Watts> cell(n, 0.0);
-    for (size_t u = 0; u < unit_power.size(); ++u)
-        for (size_t k = 0; k < maps[u].cells.size(); ++k)
-            cell[maps[u].cells[k]] +=
-                unit_power[u] * maps[u].fractions[k];
-    return cell;
-}
 
 /** Deterministic fig7-style power schedule (changes every decision). */
 std::vector<Watts>
@@ -68,39 +61,34 @@ schedulePower(Rng &rng, size_t units)
 }
 
 /**
- * Max abs per-step spectral divergence from an explicit reference at
- * the given dtSafety, re-syncing the spectral state to the reference
- * every step (isolates one step's error from trajectory feedback).
+ * Max abs per-step spectral divergence from the reference at the given
+ * dtSafety, re-syncing the spectral state to the reference every step
+ * (isolates one step's error from trajectory feedback).
  */
 double
 perStepDivergence(double dt_safety, int steps)
 {
     const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams params;
-    params.dtSafety = dt_safety;
-    ThermalGrid ref(fp, params);
-    SpectralThermalSolver solver(ref.spectralNetwork());
-    const std::vector<UnitCellMap> maps =
-        fp.rasterize(params.nx, params.ny);
+    ThermalGrid grid(fp, ThermalParams{});
+    SpectralThermalSolver solver(grid.spectralNetwork());
+    ExplicitReference ref(grid.spectralNetwork(), dt_safety);
 
     Rng rng(kBenchSeed);
     std::vector<double> ssi, ssp;
     double max_err = 0.0;
     for (int step = 0; step < steps; ++step) {
         if (step % kStepsPerDecision == 0) {
-            const std::vector<Watts> power =
-                schedulePower(rng, fp.numUnits());
-            ref.setUnitPower(power);
-            solver.setPower(scatterPower(maps, power, ref.numCells()));
+            grid.setUnitPower(schedulePower(rng, fp.numUnits()));
+            solver.setPower(grid.cellPower());
+            ref.setPower(grid.cellPower());
         }
-        solver.loadState(ref.siliconTemps(), ref.spreaderTemps(),
-                         ref.sinkTemp());
+        solver.loadState(ref.silicon(), ref.spreader(), ref.sinkTemp());
         solver.step(kTelemetryStep);
         ref.step(kTelemetryStep);
         solver.realizeSilicon(ssi);
         solver.realizeSpreader(ssp);
-        const std::vector<Celsius> &ts = ref.siliconTemps();
-        const std::vector<Celsius> &tp = ref.spreaderTemps();
+        const std::vector<Celsius> &ts = ref.silicon();
+        const std::vector<Celsius> &tp = ref.spreader();
         for (size_t i = 0; i < ts.size(); ++i) {
             max_err = std::max(max_err, std::fabs(ts[i] - ssi[i]));
             max_err = std::max(max_err, std::fabs(tp[i] - ssp[i]));
@@ -111,31 +99,27 @@ perStepDivergence(double dt_safety, int steps)
     return max_err;
 }
 
-/** Free-running max divergence between the two production grids. */
+/** Free-running max divergence between the grid and the reference. */
 double
 trajectoryDivergence(int steps)
 {
     const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams pe;
-    ThermalParams ps;
-    ps.solver = ThermalSolverKind::Spectral;
-    ps.spectralShadowCheck = false;
-    ThermalGrid ge(fp, pe);
-    ThermalGrid gs(fp, ps);
+    ThermalParams params;
+    params.spectralShadowCheck = false;
+    ThermalGrid grid(fp, params);
+    ExplicitReference ref(grid.spectralNetwork(), params.dtSafety);
 
     Rng rng(kBenchSeed);
     double max_err = 0.0;
     for (int step = 0; step < steps; ++step) {
         if (step % kStepsPerDecision == 0) {
-            const std::vector<Watts> power =
-                schedulePower(rng, fp.numUnits());
-            ge.setUnitPower(power);
-            gs.setUnitPower(power);
+            grid.setUnitPower(schedulePower(rng, fp.numUnits()));
+            ref.setPower(grid.cellPower());
         }
-        ge.step(kTelemetryStep);
-        gs.step(kTelemetryStep);
-        const std::vector<Celsius> &te = ge.siliconTemps();
-        const std::vector<Celsius> &ts = gs.siliconTemps();
+        grid.step(kTelemetryStep);
+        ref.step(kTelemetryStep);
+        const std::vector<Celsius> &te = ref.silicon();
+        const std::vector<Celsius> &ts = grid.siliconTemps();
         for (size_t i = 0; i < te.size(); ++i)
             max_err = std::max(max_err, std::fabs(te[i] - ts[i]));
     }
@@ -148,38 +132,27 @@ struct TimingRow
     double cycleUs = 0.0; ///< set power + step + read temperatures
 };
 
+/**
+ * Time `steps` calls of `step()` alone, then `steps` full cycles
+ * `cycle(i)` (set power map i % 2, step, return the hottest cell).
+ */
+template <typename Step, typename Cycle>
 TimingRow
-timeSolver(ThermalSolverKind kind, int steps)
+timeLoop(int steps, Step step, Cycle cycle)
 {
     using clock = std::chrono::steady_clock;
-    const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams params;
-    params.solver = kind;
-    params.spectralShadowCheck = false; // time the fast path itself
-    ThermalGrid grid(fp, params);
-
-    Rng rng(kBenchSeed);
-    // Two alternating power maps so setUnitPower never short-circuits
-    // on the identical-input skip.
-    const std::vector<Watts> pa = schedulePower(rng, fp.numUnits());
-    const std::vector<Watts> pb = schedulePower(rng, fp.numUnits());
-
-    grid.setUnitPower(pa);
     for (int i = 0; i < 16; ++i) // warm up caches and the step plan
-        grid.step(kTelemetryStep);
+        step();
 
     const clock::time_point t0 = clock::now();
     for (int i = 0; i < steps; ++i)
-        grid.step(kTelemetryStep);
+        step();
     const clock::time_point t1 = clock::now();
 
     double checksum = 0.0;
     const clock::time_point t2 = clock::now();
-    for (int i = 0; i < steps; ++i) {
-        grid.setUnitPower((i & 1) != 0 ? pb : pa);
-        grid.step(kTelemetryStep);
-        checksum += grid.maxSiliconTemp();
-    }
+    for (int i = 0; i < steps; ++i)
+        checksum += cycle(i);
     const clock::time_point t3 = clock::now();
     if (!std::isfinite(checksum))
         std::fprintf(stderr, "non-finite checksum\n");
@@ -193,6 +166,48 @@ timeSolver(ThermalSolverKind kind, int steps)
     return row;
 }
 
+/**
+ * Both integrators on the default grid, driven by two alternating
+ * power maps so the grid's setUnitPower never short-circuits on the
+ * identical-input skip. The reference's cycle copies a precomputed
+ * cell map; the grid's pays its own unit->cell ingest.
+ */
+std::pair<TimingRow, TimingRow>
+timeIntegrators(int steps)
+{
+    const Floorplan fp = buildSkylakeFloorplan();
+    ThermalParams params;
+    params.spectralShadowCheck = false; // time the fast path itself
+    ThermalGrid grid(fp, params);
+
+    Rng rng(kBenchSeed);
+    const std::vector<Watts> pa = schedulePower(rng, fp.numUnits());
+    const std::vector<Watts> pb = schedulePower(rng, fp.numUnits());
+    grid.setUnitPower(pb);
+    const std::vector<Watts> cell_b = grid.cellPower();
+    grid.setUnitPower(pa);
+    const std::vector<Watts> cell_a = grid.cellPower();
+
+    ExplicitReference ref(grid.spectralNetwork(), params.dtSafety);
+    ref.setPower(cell_a);
+    const TimingRow reference = timeLoop(
+        steps, [&] { ref.step(kTelemetryStep); },
+        [&](int i) {
+            ref.setPower((i & 1) != 0 ? cell_b : cell_a);
+            ref.step(kTelemetryStep);
+            const std::vector<Celsius> &si = ref.silicon();
+            return *std::max_element(si.begin(), si.end());
+        });
+    const TimingRow spectral = timeLoop(
+        steps, [&] { grid.step(kTelemetryStep); },
+        [&](int i) {
+            grid.setUnitPower((i & 1) != 0 ? pb : pa);
+            grid.step(kTelemetryStep);
+            return grid.maxSiliconTemp();
+        });
+    return {reference, spectral};
+}
+
 } // namespace
 
 int
@@ -203,7 +218,6 @@ main(int argc, char **argv)
     requireNoWorkloadOverride(parseBenchArgs(argc, argv),
                               "thermal_solver");
     BenchReport report("thermal_solver");
-    report.thermalSolver(thermalSolverName(ThermalSolverKind::Spectral));
 
     const Scale scale = benchScale();
     const int accuracy_steps = scale == Scale::Small ? 120
@@ -245,10 +259,7 @@ main(int argc, char **argv)
 
     std::printf("\n=== thermal solver timing (us per %g us telemetry "
                 "step) ===\n", kTelemetryStep * 1e6);
-    const TimingRow te = timeSolver(ThermalSolverKind::Explicit,
-                                    timing_steps);
-    const TimingRow ts = timeSolver(ThermalSolverKind::Spectral,
-                                    timing_steps);
+    const auto [te, ts] = timeIntegrators(timing_steps);
 
     TextTable timing;
     timing.setHeader({"solver", "step us", "full cycle us",

@@ -215,7 +215,8 @@ FleetSimulator::run()
     rollup.rollupHash = hasher.digest();
 
     // Observability (main thread, after the final barrier): reads the
-    // finished rollup, never feeds the simulation.
+    // finished rollup, never feeds the simulation. Counters only: a
+    // per-run gauge would keep just the last of several runs.
     obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     metrics.add("fleet.runs");
     metrics.add("fleet.dies", static_cast<uint64_t>(rollup.dies));
@@ -225,11 +226,6 @@ FleetSimulator::run()
                 static_cast<uint64_t>(rollup.totalSteps));
     metrics.add("fleet.incursion_steps",
                 static_cast<uint64_t>(rollup.incursionSteps));
-    metrics.set("fleet.aggregate_incursion_rate",
-                rollup.aggregateIncursionRate);
-    metrics.set("fleet.mean_frequency_ghz", rollup.meanFrequency);
-    metrics.set("fleet.mean_power_w", rollup.meanPower);
-    metrics.set("fleet.peak_severity", rollup.peakSeverity);
     return rollup;
 }
 

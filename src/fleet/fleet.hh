@@ -128,9 +128,11 @@ class FleetSimulator
 
     /**
      * Execute the configured epochs and aggregate the rollup. Also
-     * publishes fleet.* counters/gauges to the metrics registry (from
-     * the calling thread, after the final barrier). May be called
-     * repeatedly; each call is an independent run.
+     * adds to the additive fleet.* counters in the metrics registry
+     * (from the calling thread, after the final barrier); per-run
+     * figures live in the returned rollup only, so repeated runs never
+     * overwrite one another. May be called repeatedly; each call is
+     * an independent run.
      */
     FleetRollup run();
 

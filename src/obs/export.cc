@@ -120,9 +120,6 @@ emitManifest(std::ostream &os, const RunManifest &m)
        << "    \"scale\": \"" << escape(m.scale) << "\",\n"
        << "    \"threads\": " << m.threads << ",\n"
        << "    \"seed\": " << m.seed << ",\n";
-    if (!m.thermalSolver.empty())
-        os << "    \"thermal_solver\": \"" << escape(m.thermalSolver)
-           << "\",\n";
     if (!m.workloadSource.empty())
         os << "    \"workload_source\": \"" << escape(m.workloadSource)
            << "\",\n";
@@ -132,6 +129,8 @@ emitManifest(std::ostream &os, const RunManifest &m)
     if (!m.simdDispatch.empty())
         os << "    \"simd_dispatch\": \"" << escape(m.simdDispatch)
            << "\",\n";
+    if (!m.cpuModel.empty())
+        os << "    \"cpu_model\": \"" << escape(m.cpuModel) << "\",\n";
     if (m.hasTraceChecksum)
         os << "    \"trace_checksum\": \"" << hexString(m.traceChecksum)
            << "\",\n";

@@ -26,12 +26,6 @@ struct RunManifest
     /** Parallel lanes the run was executed with. */
     int threads = 1;
     /**
-     * Thermal integrator the run used ("explicit" / "spectral"); ""
-     * when the bench predates solver selection or does not run the
-     * thermal stage.
-     */
-    std::string thermalSolver;
-    /**
      * Workload-source spec string driving the run (registry grammar,
      * e.g. "synthetic:spec2006/astar" or "adversarial:corehop"); ""
      * for benches that sweep whole suites rather than one source.
@@ -49,6 +43,11 @@ struct RunManifest
      * out); "" when not recorded.
      */
     std::string simdDispatch;
+    /**
+     * Host CPU model (the "model name" line of /proc/cpuinfo), so a
+     * timing can be read against its hardware; "" when unreadable.
+     */
+    std::string cpuModel;
     /**
      * boreas-trace-v1 payload checksum when the run recorded or
      * replayed a trace (valid when hasTraceChecksum).

@@ -4,9 +4,9 @@
  * (DESIGN.md §9).
  *
  * The lateral Laplacian of each layer is diagonalized by a 2-D DCT-II
- * (common/dct.hh), which matches the explicit stencil's Neumann
- * boundaries exactly. In mode space the semi-discrete network
- * decouples:
+ * (common/dct.hh), which matches the forward-Euler reference
+ * stencil's Neumann boundaries exactly. In mode space the semi-discrete
+ * network decouples:
  *
  *   - every mode (kx, ky) != (0, 0) is a 2-state linear ODE over the
  *     silicon and spreader coefficients, driven by the power mode;
@@ -18,7 +18,7 @@
  * F = A^-1 (E - I); the coefficients are precomputed per dt and reused
  * while dt stays constant (the only pattern the pipeline produces).
  * One step is therefore a cheap per-mode SoA sweep with no stability
- * limit — the substep count of the explicit path is gone.
+ * limit — none of the forward-Euler reference's substeps.
  *
  * State residency: the solver keeps its state in mode space. Callers
  * load real-space state with loadState(), push power maps through

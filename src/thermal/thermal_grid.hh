@@ -18,27 +18,22 @@
  * constants of ~50 us, which is what makes *advanced* hotspots: local
  * heating on the microsecond scale, far faster than sensor+DVFS loops.
  *
- * Two interchangeable transient integrators (ThermalParams::solver):
- *
- *   Explicit  — the reference: forward Euler with substeps bounded by
- *               the network stability limit. Bit-exact across releases
- *               (the determinism audit pins its runHash).
- *   Spectral  — exact full-interval stepping: a 2-D DCT-II
- *               diagonalizes the lateral coupling and each mode is
- *               advanced with a closed-form matrix exponential
- *               (thermal/spectral_solver.hh, DESIGN.md §9). In checked
- *               builds every step is shadow-verified against the
- *               explicit reference within spectralShadowTolerance.
+ * Transient integration is exact full-interval stepping: a 2-D DCT-II
+ * diagonalizes the lateral coupling and each mode is advanced with a
+ * closed-form matrix exponential (thermal/spectral_solver.hh,
+ * DESIGN.md §9). One step costs the same at any dt, and the spectral
+ * path is bitwise identical across hosts. The forward-Euler stencil
+ * survives only as the reference it is checked against
+ * (thermal/explicit_reference.hh): in checked builds every step is
+ * shadow-run through it and must agree within spectralShadowTolerance.
  *
  * A closed-form steady-state solve in the same DCT basis (one forward
- * and two inverse transforms) provides warm-start initial conditions
- * for any solver.
+ * and two inverse transforms) provides warm-start initial conditions.
  */
 
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -48,21 +43,18 @@ namespace boreas
 {
 
 class Dct2Plan;
+class ExplicitReference;
 class SpectralThermalSolver;
 struct SpectralNetwork;
 
-/** Which transient integrator a ThermalGrid runs (see file comment). */
+/**
+ * Legacy integrator selector with one value; nothing reads it. It
+ * stays only until the benchmark recipe that assigns it is updated.
+ */
 enum class ThermalSolverKind
 {
-    Explicit,
     Spectral,
 };
-
-/** Lower-case name of a solver kind ("explicit" / "spectral"). */
-const char *thermalSolverName(ThermalSolverKind kind);
-
-/** Parse a solver name; boreas_fatal on anything unknown. */
-ThermalSolverKind parseThermalSolverName(const std::string &name);
 
 /** Material and geometry parameters of the thermal stack. */
 struct ThermalParams
@@ -90,18 +82,20 @@ struct ThermalParams
 
     Celsius ambient = kAmbient;
 
-    /** Safety factor on the explicit-integration stability bound. */
+    /** Safety factor on the checked-build shadow reference's
+     *  stability bound (ExplicitReference). */
     double dtSafety = 0.4;
 
-    /** Transient integrator selection. */
-    ThermalSolverKind solver = ThermalSolverKind::Explicit;
+    /** Unused; see ThermalSolverKind. */
+    ThermalSolverKind solver = ThermalSolverKind::Spectral;
 
     /**
-     * Checked builds only: shadow-run the explicit reference alongside
-     * every spectral step and fall back to its result if the solutions
-     * diverge by more than spectralShadowTolerance anywhere. Disable
-     * for deliberately-coarse test configs (e.g. second-scale steps,
-     * where the *explicit* truncation error exceeds the bound).
+     * Checked builds only: shadow-run the forward-Euler reference
+     * alongside every spectral step and fall back to its result if the
+     * solutions diverge by more than spectralShadowTolerance anywhere.
+     * Disable for deliberately-coarse test configs (e.g. second-scale
+     * steps, where the *reference's* truncation error exceeds the
+     * bound).
      */
     bool spectralShadowCheck = true;
     /**
@@ -131,18 +125,11 @@ class ThermalGrid
     int ny() const { return params_.ny; }
     int numCells() const { return params_.nx * params_.ny; }
 
-    ThermalSolverKind solverKind() const { return params_.solver; }
-
-    /** Stage-timer name of the active solver (a string literal). */
-    const char *solverTimerName() const;
-
-    /** Largest stable explicit substep (with the safety factor). */
-    Seconds maxStableDt() const { return dtMax_; }
-
     /**
      * The grid's lumped network constants, for benches and tests that
-     * drive a raw SpectralThermalSolver side by side with this grid
-     * (callers include thermal/spectral_solver.hh for the definition).
+     * drive a raw SpectralThermalSolver or an ExplicitReference side by
+     * side with this grid (callers include thermal/spectral_solver.hh
+     * for the definition).
      */
     SpectralNetwork spectralNetwork() const;
 
@@ -155,12 +142,14 @@ class ThermalGrid
      */
     void setUnitPower(const std::vector<Watts> &unit_power);
 
+    /** Power injected per silicon cell by the last setUnitPower, W. */
+    const std::vector<Watts> &cellPower() const { return pCell_; }
+
     /**
-     * Advance the transient by dt. The explicit path substeps
-     * internally; the spectral path takes one exact step. Per-dt
-     * constants are cached across calls — the pipeline's
-     * fixed-stepLength pattern pays the setup once; checked builds
-     * flag a dt change mid-run (between resets).
+     * Advance the transient by dt in one exact step. The per-dt
+     * exponential coefficients are cached across calls — the
+     * pipeline's fixed-stepLength pattern pays the setup once; checked
+     * builds flag a dt change mid-run (between resets).
      */
     void step(Seconds dt);
 
@@ -168,8 +157,8 @@ class ThermalGrid
      * Solve the steady state for the current power map exactly and load
      * it as the present thermal state. Used for warm-start initial
      * conditions. Closed form per DCT mode (DESIGN.md §9.7): the result
-     * depends only on the power map, never on the prior state or the
-     * solver kind, and is bitwise reproducible across hosts.
+     * depends only on the power map, never on the prior state, and is
+     * bitwise reproducible across hosts.
      */
     void solveSteadyState();
 
@@ -218,29 +207,6 @@ class ThermalGrid
   private:
     void computeConstants();
 
-    /** Cached per-dt explicit-integration constants (hot-path hoist). */
-    struct StepPlan
-    {
-        Seconds dt = 0.0;
-        int substeps = 0;
-        double h = 0.0;
-        double invCsi = 0.0;
-        double invCsp = 0.0;
-        double hOverCsink = 0.0;
-    };
-
-    void rebuildStepPlan(Seconds dt);
-
-    /**
-     * The reference explicit integration, advancing the given buffers
-     * (normally the live state; the checked-build shadow run passes
-     * copies). Bit-identical to the historical ThermalGrid::step body.
-     */
-    void explicitAdvance(std::vector<double> &si, std::vector<double> &sp,
-                         double &sink, Seconds dt);
-
-    void spectralStep(Seconds dt);
-
     /** Inverse-DCT the spectral state on demand (lazy publication). */
     void ensureSiliconCurrent() const;
     void ensureSpreaderCurrent() const;
@@ -267,12 +233,10 @@ class ThermalGrid
     double gSinkCell_ = 0.0;///< spreader cell -> sink
     double cSi_ = 0.0;      ///< silicon cell capacitance, J/K
     double cSp_ = 0.0;      ///< spreader cell capacitance
-    Seconds dtMax_ = 0.0;
 
-    StepPlan plan_;
-    bool stepped_ = false;  ///< any step() since the last reset()?
+    /** dt of the last step() since reset(); 0 = none yet. */
+    Seconds lastDt_ = 0.0;
 
-    // Solver dispatch.
     std::unique_ptr<SpectralThermalSolver> spectral_;
     bool modesValid_ = false;       ///< spectral mode state current?
     mutable bool siValid_ = true;   ///< tSi_ current?
@@ -282,17 +246,14 @@ class ThermalGrid
     // Last accepted unit-power vector (identical-input skip).
     std::vector<Watts> unitPowerCache_;
 
-    // Scratch buffers for integration (the steady-state solve also
-    // keeps its mode coefficients here).
-    std::vector<double> newSi_;
-    std::vector<double> newSp_;
-
-    // Transform for the closed-form steady-state solve.
+    // Transform and mode-coefficient scratch for the closed-form
+    // steady-state solve.
     std::unique_ptr<Dct2Plan> steadyDct_;
+    std::vector<double> steadySi_;
+    std::vector<double> steadySp_;
 
-    // Checked-build shadow-run scratch.
-    std::vector<double> shadowSi_;
-    std::vector<double> shadowSp_;
+    /** Checked-build shadow integrator; null when the check is off. */
+    std::unique_ptr<ExplicitReference> shadow_;
 
     // Reused by unitTemps() so the per-telemetry-step pipeline loop
     // does not allocate.

@@ -16,6 +16,7 @@
 #include "common/parallel.hh"
 #include "control/static_controllers.hh"
 #include "fleet/fleet.hh"
+#include "obs/metrics.hh"
 #include "test_util.hh"
 #include "workload/registry.hh"
 
@@ -205,6 +206,37 @@ TEST(Fleet, RollupIsIdenticalAcrossThreadCounts)
     }
     EXPECT_EQ(serial.rollupHash, threaded.rollupHash);
     EXPECT_EQ(serial.totalSteps, threaded.totalSteps);
+}
+
+TEST(Fleet, RepeatedRunsAccumulateCountersAndSetNoGauges)
+{
+    // A bench runs one simulator several times (unlimited, then
+    // budgeted). Per-run figures belong to each returned rollup; the
+    // registry keeps only additive counters, so no run overwrites
+    // another's numbers.
+    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
+    struct MetricsGuard
+    {
+        ~MetricsGuard()
+        {
+            obs::MetricsRegistry::global().setEnabled(false);
+            obs::MetricsRegistry::global().reset();
+        }
+    } guard;
+    metrics.setEnabled(true);
+    metrics.reset();
+
+    FleetSimulator sim(smallFleet(), fixedFactory(4.5));
+    const FleetRollup first = sim.run();
+    const FleetRollup second = sim.run();
+
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.counters.at("fleet.runs"), 2u);
+    EXPECT_EQ(snap.counters.at("fleet.steps"),
+              static_cast<uint64_t>(first.totalSteps + second.totalSteps));
+    for (const auto &[name, value] : snap.gauges)
+        EXPECT_NE(name.rfind("fleet.", 0), 0u)
+            << "per-run gauge " << name << " = " << value;
 }
 
 TEST(Fleet, BadDieSpecsAreReportedWithoutAbortingTheFleet)

@@ -258,11 +258,15 @@ TEST(Export, SimdDispatchEmittedOnlyWhenSet)
     std::ostringstream unset;
     obs::writeBenchArtifact(artifact, unset);
     EXPECT_EQ(unset.str().find("simd_dispatch"), std::string::npos);
+    EXPECT_EQ(unset.str().find("cpu_model"), std::string::npos);
 
     artifact.manifest.simdDispatch = "avx512f";
+    artifact.manifest.cpuModel = "Intel(R) Xeon(R) Processor";
     std::ostringstream set;
     obs::writeBenchArtifact(artifact, set);
-    EXPECT_NE(set.str().find("    \"simd_dispatch\": \"avx512f\",\n"),
+    EXPECT_NE(set.str().find("    \"simd_dispatch\": \"avx512f\",\n"
+                             "    \"cpu_model\": "
+                             "\"Intel(R) Xeon(R) Processor\",\n"),
               std::string::npos);
 }
 

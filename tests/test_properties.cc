@@ -12,6 +12,7 @@
 #include "ml/gbt.hh"
 #include "power/vf_table.hh"
 #include "test_util.hh"
+#include "thermal/explicit_reference.hh"
 #include "workload/spec2006.hh"
 
 using namespace boreas;
@@ -163,9 +164,10 @@ class SteadyStateFixedPoint : public ::testing::TestWithParam<int>
 
 TEST_P(SteadyStateFixedPoint, OneExplicitStepMovesNoNode)
 {
-    // The closed-form solve is exact, so one explicit 80 us step from
-    // it moves no node beyond roundoff. 64x64 runs the fast
-    // power-of-two transform, 24x24 the dense-DCT fallback.
+    // The closed-form solve is exact, so one 80 us step of the
+    // forward-Euler reference from it moves no node beyond roundoff.
+    // 64x64 runs the fast power-of-two transform, 24x24 the dense-DCT
+    // fallback.
     const Floorplan fp = buildSkylakeFloorplan();
     ThermalParams params;
     params.nx = GetParam();
@@ -180,10 +182,13 @@ TEST_P(SteadyStateFixedPoint, OneExplicitStepMovesNoNode)
     const std::vector<Celsius> sp = grid.spreaderTemps();
     const Celsius sink = grid.sinkTemp();
 
-    grid.step(80e-6);
-    const auto &si_after = grid.siliconTemps();
-    const auto &sp_after = grid.spreaderTemps();
-    double max_move = std::fabs(grid.sinkTemp() - sink);
+    ExplicitReference ref(grid.spectralNetwork(), params.dtSafety);
+    ref.loadState(si, sp, sink);
+    ref.setPower(grid.cellPower());
+    ref.step(80e-6);
+    const auto &si_after = ref.silicon();
+    const auto &sp_after = ref.spreader();
+    double max_move = std::fabs(ref.sinkTemp() - sink);
     for (size_t i = 0; i < si.size(); ++i) {
         max_move = std::max(max_move, std::fabs(si_after[i] - si[i]));
         max_move = std::max(max_move, std::fabs(sp_after[i] - sp[i]));

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the spectral thermal fast path: the 2-D DCT plan, the
- * mode-space exponential integrator, analytic closed-form solutions
- * for both integrators, and solver selection (DESIGN.md §9).
+ * Tests for the spectral thermal path: the 2-D DCT plan, the
+ * mode-space exponential integrator against the forward-Euler
+ * reference, analytic closed-form solutions for both integrators, and
+ * the checked-build shadow run (DESIGN.md §9).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "common/hash.hh"
 #include "common/rng.hh"
 #include "floorplan/skylake.hh"
+#include "thermal/explicit_reference.hh"
 #include "thermal/spectral_solver.hh"
 #include "thermal/thermal_grid.hh"
 
@@ -36,7 +38,7 @@ randomField(int n, uint64_t seed)
 }
 
 /**
- * Apply the explicit solver's lateral stencil (missing boundary
+ * Apply the forward-Euler reference's lateral stencil (missing boundary
  * neighbors simply omitted — the grid's Neumann condition) in real
  * space: out[i] = sum_neighbors (x[j] - x[i]).
  */
@@ -298,41 +300,26 @@ TEST(Dct2Plan, BitwiseGoldenDigests)
 }
 
 // ---------------------------------------------------------------------
-// Spectral solver vs the explicit reference
+// Spectral solver vs the forward-Euler reference
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-/** Scatter unit powers to cells the way ThermalGrid does. */
-std::vector<Watts>
-scatterPower(const std::vector<UnitCellMap> &maps,
-             const std::vector<Watts> &unit_power, int n)
-{
-    std::vector<Watts> cell(n, 0.0);
-    for (size_t u = 0; u < unit_power.size(); ++u)
-        for (size_t k = 0; k < maps[u].cells.size(); ++k)
-            cell[maps[u].cells[k]] +=
-                unit_power[u] * maps[u].fractions[k];
-    return cell;
-}
-
 /**
- * Max per-step spectral-vs-explicit divergence over a fig7-style run:
- * each step the raw spectral solver is re-synced to the explicit
- * grid's state, both advance one telemetry interval from that shared
- * state, and the fields are compared. `dt_safety` controls the
- * explicit reference's substep.
+ * Max per-step spectral-vs-reference divergence over a fig7-style run:
+ * each step the raw spectral solver is re-synced to the forward-Euler
+ * reference's state, both advance one telemetry interval from that
+ * shared state, and the fields are compared. `dt_safety` controls the
+ * reference's substep.
  */
 double
 perStepDivergence(double dt_safety, int steps)
 {
     const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams pe;
-    pe.dtSafety = dt_safety;
-    ThermalGrid ge(fp, pe);
-    SpectralThermalSolver solver(ge.spectralNetwork());
-    const std::vector<UnitCellMap> maps = fp.rasterize(pe.nx, pe.ny);
+    ThermalGrid grid(fp, ThermalParams{});
+    SpectralThermalSolver solver(grid.spectralNetwork());
+    ExplicitReference ref(grid.spectralNetwork(), dt_safety);
 
     Rng rng(2023);
     std::vector<Watts> power(fp.numUnits(), 0.0);
@@ -342,24 +329,23 @@ perStepDivergence(double dt_safety, int steps)
         if (step % 12 == 0) {
             for (double &p : power)
                 p = rng.uniform(0.0, 8.0);
-            ge.setUnitPower(power);
-            solver.setPower(
-                scatterPower(maps, power, ge.numCells()));
+            grid.setUnitPower(power);
+            solver.setPower(grid.cellPower());
+            ref.setPower(grid.cellPower());
         }
-        solver.loadState(ge.siliconTemps(), ge.spreaderTemps(),
-                         ge.sinkTemp());
+        solver.loadState(ref.silicon(), ref.spreader(), ref.sinkTemp());
         solver.step(kTelemetryStep);
-        ge.step(kTelemetryStep);
+        ref.step(kTelemetryStep);
         solver.realizeSilicon(ssi);
         solver.realizeSpreader(ssp);
-        const std::vector<Celsius> &te = ge.siliconTemps();
-        const std::vector<Celsius> &tp = ge.spreaderTemps();
+        const std::vector<Celsius> &te = ref.silicon();
+        const std::vector<Celsius> &tp = ref.spreader();
         for (size_t i = 0; i < te.size(); ++i) {
             max_err = std::max(max_err, std::fabs(te[i] - ssi[i]));
             max_err = std::max(max_err, std::fabs(tp[i] - ssp[i]));
         }
         max_err = std::max(
-            max_err, std::fabs(ge.sinkTemp() - solver.sinkTemp()));
+            max_err, std::fabs(ref.sinkTemp() - solver.sinkTemp()));
     }
     return max_err;
 }
@@ -368,11 +354,12 @@ perStepDivergence(double dt_safety, int steps)
 
 TEST(SpectralSolver, PerStepDivergenceWithinShadowBound)
 {
-    // Per-step divergence from the production explicit reference stays
-    // under the checked-build shadow tolerance, so shadow verification
-    // never falls back on realistic runs. The divergence is dominated
-    // by the reference's own forward-Euler truncation (it shrinks
-    // ~linearly with dtSafety; see WithinBoundOfRefinedReference).
+    // Per-step divergence from the reference at the production
+    // dtSafety stays under the checked-build shadow tolerance, so
+    // shadow verification never falls back on realistic runs. The
+    // divergence is dominated by the reference's own forward-Euler
+    // truncation (it shrinks ~linearly with dtSafety; see
+    // WithinBoundOfRefinedReference).
     const double bound = ThermalParams{}.spectralShadowTolerance;
     EXPECT_LT(perStepDivergence(ThermalParams{}.dtSafety, 240), bound);
 }
@@ -380,7 +367,7 @@ TEST(SpectralSolver, PerStepDivergenceWithinShadowBound)
 TEST(SpectralSolver, WithinBoundOfRefinedReference)
 {
     // The headline accuracy claim (DESIGN.md §9.3): against a
-    // 16x-refined explicit reference — whose truncation error is
+    // 16x-refined forward-Euler reference — whose truncation error is
     // correspondingly 16x smaller, i.e. near-exact — the spectral step
     // is within the documented 0.05 C bound per step (measured
     // ~0.011 C; most of even that is the reference's residual error).
@@ -392,24 +379,21 @@ TEST(SpectralSolver, MatchesExplicitOnNonPow2Grid)
     // Exercises the dense-transform DCT fallback end to end.
     Floorplan fp = fullDieFloorplan(12e-3, 20e-3);
     fp.addUnit("hot", UnitKind::FPU, {1e-3, 2e-3, 4e-3, 6e-3}, 0);
-    ThermalParams pe;
-    pe.nx = 12;
-    pe.ny = 20;
-    ThermalParams ps = pe;
-    ps.solver = ThermalSolverKind::Spectral;
-    ps.spectralShadowCheck = false;
-    ThermalGrid ge(fp, pe);
-    ThermalGrid gs(fp, ps);
+    ThermalParams p;
+    p.nx = 12;
+    p.ny = 20;
+    p.spectralShadowCheck = false;
+    ThermalGrid grid(fp, p);
+    ExplicitReference ref(grid.spectralNetwork(), p.dtSafety);
 
-    const std::vector<Watts> power{4.0, 12.0};
-    ge.setUnitPower(power);
-    gs.setUnitPower(power);
+    grid.setUnitPower({4.0, 12.0});
+    ref.setPower(grid.cellPower());
     double max_err = 0.0;
     for (int step = 0; step < 100; ++step) {
-        ge.step(kTelemetryStep);
-        gs.step(kTelemetryStep);
-        const std::vector<Celsius> &te = ge.siliconTemps();
-        const std::vector<Celsius> &ts = gs.siliconTemps();
+        ref.step(kTelemetryStep);
+        grid.step(kTelemetryStep);
+        const std::vector<Celsius> &te = ref.silicon();
+        const std::vector<Celsius> &ts = grid.siliconTemps();
         for (size_t i = 0; i < te.size(); ++i)
             max_err = std::max(max_err, std::fabs(te[i] - ts[i]));
     }
@@ -422,7 +406,6 @@ TEST(SpectralSolver, ZeroPowerStaysAtAmbient)
     ThermalParams p;
     p.nx = 16;
     p.ny = 16;
-    p.solver = ThermalSolverKind::Spectral;
     ThermalGrid grid(fp, p);
     grid.setUnitPower(std::vector<Watts>(fp.numUnits(), 0.0));
     for (int i = 0; i < 100; ++i)
@@ -437,7 +420,6 @@ TEST(SpectralSolver, DeterministicAcrossInstances)
     // trajectories — the pipeline runHash audit depends on it.
     const Floorplan fp = buildSkylakeFloorplan();
     ThermalParams p;
-    p.solver = ThermalSolverKind::Spectral;
     p.spectralShadowCheck = false;
     ThermalGrid a(fp, p);
     ThermalGrid b(fp, p);
@@ -503,7 +485,6 @@ TEST(SpectralThermalSolver, BitwiseTrajectoryDigest)
     // bit (DESIGN.md §9.6).
     const Floorplan fp = buildSkylakeFloorplan();
     ThermalParams p;
-    p.solver = ThermalSolverKind::Spectral;
     p.spectralShadowCheck = false;
     ThermalGrid grid(fp, p);
 
@@ -567,26 +548,65 @@ steadyExpect(const ThermalGrid &grid, Watts total_power)
     return e;
 }
 
+/** Which integrator an analytic test drives. */
+enum class Integrator
+{
+    ForwardEuler, ///< ExplicitReference on the grid's network
+    Spectral,     ///< the ThermalGrid itself
+};
+
+/** Final state of one run. */
+struct RunEnd
+{
+    std::vector<Celsius> si;
+    Celsius sink = 0.0;
+};
+
+/**
+ * Start `grid`'s network uniformly at `start` under `unit_power` and
+ * take `steps` steps of dt with the chosen integrator.
+ */
+RunEnd
+runIntegrator(Integrator integrator, ThermalGrid &grid, Celsius start,
+              const std::vector<Watts> &unit_power, Seconds dt,
+              int steps)
+{
+    grid.reset(start);
+    grid.setUnitPower(unit_power);
+    if (integrator == Integrator::Spectral) {
+        for (int i = 0; i < steps; ++i)
+            grid.step(dt);
+        return {grid.siliconTemps(), grid.sinkTemp()};
+    }
+    ExplicitReference ref(grid.spectralNetwork(), grid.params().dtSafety);
+    ref.loadState(grid.siliconTemps(), grid.spreaderTemps(),
+                  grid.sinkTemp());
+    ref.setPower(grid.cellPower());
+    for (int i = 0; i < steps; ++i)
+        ref.step(dt);
+    return {ref.silicon(), ref.sinkTemp()};
+}
+
 void
-expectUniformSteadyState(ThermalSolverKind kind, Seconds dt, int steps)
+expectUniformSteadyState(Integrator integrator, Seconds dt, int steps)
 {
     const Floorplan fp = fullDieFloorplan(8e-3, 8e-3);
     ThermalParams p;
     p.nx = 8;
     p.ny = 8;
-    p.solver = kind;
-    p.spectralShadowCheck = false; // coarse dt; explicit would disagree
-    p.sinkCapacitance = 0.5;       // small sink so the test converges
+    // Coarse dt: the shadow reference's truncation would exceed the
+    // tolerance.
+    p.spectralShadowCheck = false;
+    p.sinkCapacitance = 0.5; // small sink so the test converges
     ThermalGrid grid(fp, p);
 
     const Watts total = 20.0;
-    grid.setUnitPower({total});
-    for (int i = 0; i < steps; ++i)
-        grid.step(dt);
+    const RunEnd end =
+        runIntegrator(integrator, grid, p.ambient, {total}, dt, steps);
 
     const SteadyExpect e = steadyExpect(grid, total);
-    EXPECT_NEAR(grid.sinkTemp(), e.sink, 1e-3);
-    for (Celsius t : grid.siliconTemps())
+    EXPECT_NEAR(end.sink, e.sink, 1e-3);
+    for (Celsius t : end.si)
         EXPECT_NEAR(t, e.si, 1e-3);
 }
 
@@ -595,23 +615,23 @@ expectUniformSteadyState(ThermalSolverKind kind, Seconds dt, int steps)
 TEST(AnalyticSteadyState, ExplicitMatchesResistanceChain)
 {
     // Forward Euler's fixed point solves A x + b = 0 exactly, so after
-    // settling the explicit field must hit the closed form to within
+    // settling the reference field must hit the closed form to within
     // the residual transient (~1e-5 C after ~25 time constants).
-    expectUniformSteadyState(ThermalSolverKind::Explicit, 5e-3, 800);
+    expectUniformSteadyState(Integrator::ForwardEuler, 5e-3, 800);
 }
 
 TEST(AnalyticSteadyState, SpectralMatchesResistanceChain)
 {
     // The exponential integrator has no stability limit: second-scale
     // steps are exact, so far fewer steps reach the same fixed point.
-    expectUniformSteadyState(ThermalSolverKind::Spectral, 0.1, 50);
+    expectUniformSteadyState(Integrator::Spectral, 0.1, 50);
 }
 
 namespace
 {
 
 void
-expectExponentialCooling(ThermalSolverKind kind, Seconds dt, int steps)
+expectExponentialCooling(Integrator integrator, Seconds dt, int steps)
 {
     // Zero power, everything starting hot and uniform: the internal
     // capacitances (~0.24 J/K) ride the dominant sink mode
@@ -622,15 +642,12 @@ expectExponentialCooling(ThermalSolverKind kind, Seconds dt, int steps)
     ThermalParams p;
     p.nx = 8;
     p.ny = 8;
-    p.solver = kind;
     p.spectralShadowCheck = false;
     ThermalGrid grid(fp, p);
 
     const double delta0 = 20.0;
-    grid.reset(p.ambient + delta0);
-    grid.setUnitPower({0.0});
-    for (int i = 0; i < steps; ++i)
-        grid.step(dt);
+    const RunEnd end = runIntegrator(integrator, grid, p.ambient + delta0,
+                                     {0.0}, dt, steps);
     const Seconds elapsed = dt * steps;
 
     const double die_area = 8e-3 * 8e-3;
@@ -641,20 +658,21 @@ expectExponentialCooling(ThermalSolverKind kind, Seconds dt, int steps)
     const double expected =
         p.ambient + delta0 * std::exp(-elapsed / tau);
 
-    EXPECT_NEAR(grid.sinkTemp(), expected, 0.1);
-    EXPECT_NEAR(grid.maxSiliconTemp(), expected, 0.1);
+    EXPECT_NEAR(end.sink, expected, 0.1);
+    EXPECT_NEAR(*std::max_element(end.si.begin(), end.si.end()), expected,
+                0.1);
 }
 
 } // namespace
 
 TEST(AnalyticCooling, ExplicitMatchesTimeConstant)
 {
-    expectExponentialCooling(ThermalSolverKind::Explicit, 2e-3, 1500);
+    expectExponentialCooling(Integrator::ForwardEuler, 2e-3, 1500);
 }
 
 TEST(AnalyticCooling, SpectralMatchesTimeConstant)
 {
-    expectExponentialCooling(ThermalSolverKind::Spectral, 0.1, 30);
+    expectExponentialCooling(Integrator::Spectral, 0.1, 30);
 }
 
 // ---------------------------------------------------------------------
@@ -667,52 +685,30 @@ TEST(SpectralShadow, ZeroToleranceFallsBackToExplicitExactly)
         GTEST_SKIP() << "shadow verification is checked-build only";
 
     // With the divergence bound forced to zero the shadow run rejects
-    // every spectral step, so the grid must reproduce the explicit
-    // trajectory bit for bit — proving both that the fallback engages
-    // and that it adopts the reference result wholesale.
+    // every spectral step, so the grid must reproduce the forward-Euler
+    // reference's trajectory bit for bit — proving both that the
+    // fallback engages and that it adopts the reference result
+    // wholesale.
     const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams pe;
-    pe.nx = 16;
-    pe.ny = 16;
-    ThermalParams ps = pe;
-    ps.solver = ThermalSolverKind::Spectral;
-    ps.spectralShadowCheck = true;
-    ps.spectralShadowTolerance = 0.0;
-    ThermalGrid ge(fp, pe);
-    ThermalGrid gs(fp, ps);
+    ThermalParams p;
+    p.nx = 16;
+    p.ny = 16;
+    p.spectralShadowCheck = true;
+    p.spectralShadowTolerance = 0.0;
+    ThermalGrid grid(fp, p);
+    ExplicitReference ref(grid.spectralNetwork(), p.dtSafety);
 
     std::vector<Watts> power(fp.numUnits(), 0.0);
     power[fp.findUnit(UnitKind::FPU, 0)] = 6.0;
-    ge.setUnitPower(power);
-    gs.setUnitPower(power);
+    grid.setUnitPower(power);
+    ref.setPower(grid.cellPower());
     for (int i = 0; i < 20; ++i) {
-        ge.step(kTelemetryStep);
-        gs.step(kTelemetryStep);
+        ref.step(kTelemetryStep);
+        grid.step(kTelemetryStep);
     }
-    const std::vector<Celsius> &te = ge.siliconTemps();
-    const std::vector<Celsius> &ts = gs.siliconTemps();
+    const std::vector<Celsius> &te = ref.silicon();
+    const std::vector<Celsius> &ts = grid.siliconTemps();
     for (size_t i = 0; i < te.size(); ++i)
         ASSERT_EQ(ts[i], te[i]);
-    EXPECT_EQ(gs.sinkTemp(), ge.sinkTemp());
-}
-
-// ---------------------------------------------------------------------
-// Solver selection plumbing
-// ---------------------------------------------------------------------
-
-TEST(SolverSelection, NamesRoundTrip)
-{
-    for (ThermalSolverKind kind :
-         {ThermalSolverKind::Explicit, ThermalSolverKind::Spectral})
-        EXPECT_EQ(parseThermalSolverName(thermalSolverName(kind)), kind);
-}
-
-using SolverSelectionDeathTest = ::testing::Test;
-
-TEST(SolverSelectionDeathTest, UnknownNameIsFatal)
-{
-    for (const char *name : {"crank-nicolson", "surrogate"}) {
-        EXPECT_DEATH(parseThermalSolverName(name),
-                     "unknown thermal solver.*want explicit\\|spectral\\)");
-    }
+    EXPECT_EQ(grid.sinkTemp(), ref.sinkTemp());
 }
