@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "common/logging.hh"
@@ -16,16 +15,12 @@ namespace
 
 constexpr double kPi = 3.14159265358979323846;
 
-/**
- * The values of 8 adjacent batch columns at one position. The explicit
- * alignment keeps the type identical in every clone: GCC otherwise
- * aligns a generic vector to the widest vector the *compiling* target
- * has, which differs between the baseline and AVX-512 clones. GCC
- * lets a vector type alias its element type, so the plan's
- * double-typed StripSlot storage is read and written as strips.
+/*
+ * A Strip (common/simd.hh) holds the values of 8 adjacent batch
+ * columns at one position. GCC lets a vector type alias its element
+ * type, so the plan's double-typed StripSlot storage is read and
+ * written as strips.
  */
-typedef double Strip __attribute__((vector_size(64), aligned(64)));
-constexpr int kLanes = 8;
 /** Multiplier that halves lane 0 only (times 1.0 is exact). */
 constexpr Strip kHalveLane0 = {0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
 
@@ -42,25 +37,6 @@ log2Of(int n)
     while ((1 << bits) < n)
         ++bits;
     return bits;
-}
-
-/**
- * Write the first `lanes` lanes of `v` to p[0..lanes). Every strip
- * store goes through here, lane by lane: a whole-vector store of a
- * 512-bit value bounces through the stack wherever the target lacks
- * 512-bit registers. The full-strip case keeps a constant trip count,
- * which GCC emits as whole vector stores.
- */
-void
-put(double *p, const Strip &v, int lanes = kLanes)
-{
-    if (lanes == kLanes) {
-        for (int l = 0; l < kLanes; ++l)
-            p[l] = v[l];
-    } else {
-        for (int l = 0; l < lanes; ++l)
-            p[l] = v[l];
-    }
 }
 
 /** Sweep output into a scratch strip array. */
@@ -470,13 +446,8 @@ denseApply(int n, const double *mat, const Strip *a, const Out &out)
 void
 loadStrip(Strip *dst, const double *p, int lanes)
 {
-    // A full strip is one fixed-size memcpy, i.e. a single vector load
-    // on every target; a lane loop would assemble it piece by piece.
     Strip v = {};
-    if (lanes == kLanes)
-        std::memcpy(&v, p, sizeof(v));
-    else
-        std::memcpy(&v, p, lanes * sizeof(double));
+    loadLanes(v, p, lanes);
     put(reinterpret_cast<double *>(dst), v);
 }
 

@@ -68,16 +68,21 @@ class SeverityModel
 
     /**
      * MLTD field of a temperature grid: per cell, the drop from the cell
-     * to the coolest cell within the radius. Computed with a separable
-     * sliding-window minimum (square window approximating the disk),
-     * O(cells) regardless of radius.
+     * to the coolest cell within the radius, over a square window of
+     * half-width w = round(radius / cell_size) cells (at least 1,
+     * approximating the disk). Shares evaluate()'s vector kernel: per
+     * row, a column min over 2w+1 rows, then a row min over 2w+1
+     * offset loads of that row padded with +inf; O(cells * w).
+     * cell_size must be finite and > 0.
      */
     std::vector<Celsius> mltdField(const std::vector<Celsius> &temps,
                                    int nx, int ny,
                                    Meters cell_size) const;
 
     /**
-     * Evaluate the snapshot metrics of a temperature grid.
+     * Evaluate the snapshot metrics of a temperature grid, fused with
+     * the MLTD pass of mltdField() into one dispatched vector kernel
+     * whose results match the scalar severity() bit for bit.
      *
      * @param per_cell optional out-param: per-cell severity field
      */

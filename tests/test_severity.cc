@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <deque>
+#include <limits>
 #include <tuple>
 
+#include "common/hash.hh"
+#include "common/rng.hh"
 #include "hotspot/severity.hh"
 
 using namespace boreas;
@@ -78,6 +85,27 @@ TEST(SeverityDeathTest, RejectsNonDecreasingAnchors)
     EXPECT_DEATH(SeverityModel{bad}, "decreasing");
 }
 
+TEST(SeverityDeathTest, RejectsNonPositiveOrNonFiniteRadius)
+{
+    for (double radius : {0.0, -1.0e-3, std::nan(""),
+                          std::numeric_limits<double>::infinity()}) {
+        SeverityParams bad;
+        bad.mltdRadius = radius;
+        EXPECT_DEATH(SeverityModel{bad}, "mltdRadius");
+    }
+}
+
+TEST(SeverityDeathTest, RejectsNonPositiveOrNonFiniteCellSize)
+{
+    SeverityModel model;
+    const std::vector<Celsius> temps(16, 60.0);
+    for (double cell : {0.0, -0.5e-3, std::nan(""),
+                        std::numeric_limits<double>::infinity()}) {
+        EXPECT_DEATH(model.evaluate(temps, 4, 4, cell), "cell_size");
+        EXPECT_DEATH(model.mltdField(temps, 4, 4, cell), "cell_size");
+    }
+}
+
 TEST(Mltd, UniformFieldIsZero)
 {
     SeverityModel model;
@@ -112,6 +140,20 @@ TEST(Mltd, RadiusLimitsVisibility)
     // Adjacent cell sees the drop; a cell 4 away does not.
     EXPECT_DOUBLE_EQ(mltd[1], 40.0);
     EXPECT_DOUBLE_EQ(mltd[5], 0.0);
+}
+
+TEST(Mltd, TinyCellSizeSeesWholeGrid)
+{
+    // A radius of ~1e297 cells covers the whole grid; the window is
+    // clamped to the grid rather than rounded from an overflowing ratio.
+    SeverityModel model;
+    const int nx = 8, ny = 8;
+    std::vector<Celsius> temps(nx * ny, 70.0);
+    temps[0] = 40.0;
+    temps[nx * ny - 1] = 90.0;
+    const auto mltd = model.mltdField(temps, nx, ny, 1.0e-300);
+    EXPECT_DOUBLE_EQ(mltd[nx * ny - 1], 50.0);
+    EXPECT_DOUBLE_EQ(mltd[nx + 4], 30.0);
 }
 
 TEST(Mltd, GradientFieldDropWithinWindow)
@@ -168,4 +210,240 @@ TEST(SeverityEvaluate, AdvancedHotspotBeatsUniformHeat)
     const auto spike = model.evaluate(spiky, nx, ny, 0.5e-3);
     EXPECT_GT(spike.maxSeverity, 1.0);
     EXPECT_LT(spike.maxTemp, uni.maxTemp);
+}
+
+// ---------------------------------------------------------------------
+// The fused kernel against the deque reference it replaced
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Reference MLTD and severity scan: two monotonic-deque sliding-min
+ * passes (rows, then columns) and a scalar severity scan. This was the
+ * production implementation before the fused vector kernel; the
+ * kernel must reproduce it bit for bit.
+ */
+namespace oracle
+{
+
+void
+slidingMinRows(const std::vector<double> &src, std::vector<double> &dst,
+               int nx, int ny, int w)
+{
+    std::deque<int> dq;
+    for (int y = 0; y < ny; ++y) {
+        const int row = y * nx;
+        dq.clear();
+        for (int x = 0; x < std::min(w, nx - 1) + 1; ++x) {
+            while (!dq.empty() && src[row + dq.back()] >= src[row + x])
+                dq.pop_back();
+            dq.push_back(x);
+        }
+        for (int x = 0; x < nx; ++x) {
+            const int incoming = x + w;
+            if (x > 0 && incoming < nx) {
+                while (!dq.empty() &&
+                       src[row + dq.back()] >= src[row + incoming])
+                    dq.pop_back();
+                dq.push_back(incoming);
+            }
+            while (!dq.empty() && dq.front() < x - w)
+                dq.pop_front();
+            dst[row + x] = src[row + dq.front()];
+        }
+    }
+}
+
+void
+slidingMinCols(const std::vector<double> &src, std::vector<double> &dst,
+               int nx, int ny, int w)
+{
+    std::deque<int> dq;
+    for (int x = 0; x < nx; ++x) {
+        dq.clear();
+        for (int y = 0; y < std::min(w, ny - 1) + 1; ++y) {
+            while (!dq.empty() &&
+                   src[dq.back() * nx + x] >= src[y * nx + x])
+                dq.pop_back();
+            dq.push_back(y);
+        }
+        for (int y = 0; y < ny; ++y) {
+            const int incoming = y + w;
+            if (y > 0 && incoming < ny) {
+                while (!dq.empty() &&
+                       src[dq.back() * nx + x] >= src[incoming * nx + x])
+                    dq.pop_back();
+                dq.push_back(incoming);
+            }
+            while (!dq.empty() && dq.front() < y - w)
+                dq.pop_front();
+            dst[y * nx + x] = src[dq.front() * nx + x];
+        }
+    }
+}
+
+std::vector<Celsius>
+mltdField(const SeverityModel &model, const std::vector<Celsius> &temps,
+          int nx, int ny, Meters cell_size)
+{
+    const int w = std::max(
+        1, static_cast<int>(
+               std::lround(model.params().mltdRadius / cell_size)));
+    std::vector<double> row_min(temps.size());
+    std::vector<double> window_min(temps.size());
+    slidingMinRows(temps, row_min, nx, ny, w);
+    slidingMinCols(row_min, window_min, nx, ny, w);
+    std::vector<Celsius> mltd(temps.size());
+    for (size_t i = 0; i < temps.size(); ++i)
+        mltd[i] = temps[i] - window_min[i];
+    return mltd;
+}
+
+SeveritySnapshot
+evaluate(const SeverityModel &model, const std::vector<Celsius> &temps,
+         int nx, int ny, Meters cell_size, std::vector<double> *per_cell)
+{
+    const std::vector<Celsius> mltd =
+        mltdField(model, temps, nx, ny, cell_size);
+    SeveritySnapshot snap;
+    if (per_cell)
+        per_cell->resize(temps.size());
+    for (size_t i = 0; i < temps.size(); ++i) {
+        const double sev = model.severity(temps[i], mltd[i]);
+        if (per_cell)
+            (*per_cell)[i] = sev;
+        if (sev > snap.maxSeverity || snap.argmaxCell < 0) {
+            snap.maxSeverity = sev;
+            snap.argmaxCell = static_cast<int>(i);
+            snap.tempAtMax = temps[i];
+            snap.mltdAtMax = mltd[i];
+        }
+        snap.maxTemp = std::max(snap.maxTemp, temps[i]);
+        snap.maxMltd = std::max(snap.maxMltd, mltd[i]);
+    }
+    return snap;
+}
+
+} // namespace oracle
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void
+expectSameSnapshot(const SeveritySnapshot &got, const SeveritySnapshot &want)
+{
+    EXPECT_TRUE(sameBits(got.maxSeverity, want.maxSeverity));
+    EXPECT_EQ(got.argmaxCell, want.argmaxCell);
+    EXPECT_TRUE(sameBits(got.tempAtMax, want.tempAtMax));
+    EXPECT_TRUE(sameBits(got.mltdAtMax, want.mltdAtMax));
+    EXPECT_TRUE(sameBits(got.maxTemp, want.maxTemp));
+    EXPECT_TRUE(sameBits(got.maxMltd, want.maxMltd));
+}
+
+/**
+ * Anchors whose segment slopes are not short binary fractions. With
+ * the paper's anchors (slopes -1 and -0.75) every product of a slope
+ * and a grid temperature difference is exact, so a fused multiply-add
+ * would go unnoticed; with these it changes low bits.
+ */
+SeverityParams
+offAnchors()
+{
+    SeverityParams p;
+    p.tRef = 44.6;
+    p.tCritMid = 96.3;
+    p.tCritHigh = 79.1;
+    p.mltdMid = 21.7;
+    p.mltdHigh = 38.9;
+    return p;
+}
+
+} // namespace
+
+TEST(SeverityKernel, MatchesDequeOracleBitwise)
+{
+    // Sizes straddle the 8-cell strip (1, 7, 9, 31, 65 leave partial
+    // strips); radii run from one cell to past the grid's larger side.
+    // Fields span every severity segment, the floor clamp and the
+    // zero clamp below tRef. Rounded fields are tie-heavy: equal
+    // minima, severities and maxima exercise the first-index argmax.
+    const int sizes[] = {1, 3, 7, 8, 9, 16, 31, 64, 65};
+    Rng rng(4242);
+    for (const SeverityParams &params : {SeverityParams{}, offAnchors()}) {
+        const SeverityModel model(params);
+        for (int nx : sizes) {
+            for (int ny : sizes) {
+                for (int w : {1, 2, 3, 4, 8, 9, 17, 40, 70}) {
+                    if (w > std::max(nx, ny) + 6 && w != 70)
+                        continue;
+                    for (bool rounded : {false, true}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << nx << "x" << ny << " w=" << w
+                                     << (rounded ? " rounded" : ""));
+                        std::vector<Celsius> temps(nx * ny);
+                        for (double &t : temps) {
+                            t = rng.uniform(30.0, 120.0);
+                            if (rounded)
+                                t = 5.0 * std::round(t / 5.0);
+                        }
+                        const Meters cell = params.mltdRadius / w;
+
+                        std::vector<double> want_cells, got_cells;
+                        const SeveritySnapshot want = oracle::evaluate(
+                            model, temps, nx, ny, cell, &want_cells);
+                        expectSameSnapshot(
+                            model.evaluate(temps, nx, ny, cell, &got_cells),
+                            want);
+                        expectSameSnapshot(
+                            model.evaluate(temps, nx, ny, cell), want);
+                        EXPECT_TRUE(sameBits(got_cells, want_cells));
+                        EXPECT_TRUE(sameBits(
+                            model.mltdField(temps, nx, ny, cell),
+                            oracle::mltdField(model, temps, nx, ny, cell)));
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SeverityModel, BitwiseGoldenDigest)
+{
+    // FNV-1a digest of the per-cell severity field and the snapshot of
+    // a fixed 64x64 field (w = 8), under the paper's anchors and under
+    // offAnchors(), pinned with the deque implementation that preceded
+    // the fused kernel. Every dispatched clone must reproduce it bit
+    // for bit (DESIGN.md §9.6); a mismatch means some floating-point
+    // operation moved, and with it every runHash.
+    const int n = 64;
+    Rng rng(2024);
+    std::vector<Celsius> temps(n * n);
+    for (double &t : temps)
+        t = rng.uniform(40.0, 110.0);
+    Fnv1a h;
+    for (const SeverityParams &params : {SeverityParams{}, offAnchors()}) {
+        std::vector<double> per_cell;
+        const SeveritySnapshot snap = SeverityModel(params).evaluate(
+            temps, n, n, params.mltdRadius / 8, &per_cell);
+        h.add(per_cell);
+        h.add(snap.maxSeverity);
+        h.add(snap.argmaxCell);
+        h.add(snap.tempAtMax);
+        h.add(snap.mltdAtMax);
+        h.add(snap.maxTemp);
+        h.add(snap.maxMltd);
+    }
+    EXPECT_EQ(h.digest(), 0x8905fe4926b0088dULL);
 }
