@@ -202,8 +202,9 @@ BENCHMARK(BM_SpectralStep)->Apply(microBench);
 
 /**
  * One spectral cycle as the pipeline runs it: ingest a power vector
- * that differs from the last one (so the unchanged-input shortcut
- * never fires), step 80 us, then publish the silicon field.
+ * that differs from the last one (leakage and residual noise move
+ * unit power every pipeline step), step 80 us, then publish the
+ * silicon field.
  */
 static void
 BM_SpectralCycle(benchmark::State &bm)

@@ -5,20 +5,30 @@
 namespace boreas
 {
 
+namespace
+{
+
+const GBTRegressor &
+trainedModel(const GBTRegressor *model)
+{
+    boreas_assert(model != nullptr && model->trained(),
+                  "BoreasController needs a trained model");
+    return *model;
+}
+
+} // namespace
+
 BoreasController::BoreasController(
     std::string name, const GBTRegressor *model,
     const std::vector<std::string> &feature_names, double guardband,
     int sensor_index)
-    : name_(std::move(name)), model_(model),
+    : name_(std::move(name)), flat_(trainedModel(model)),
       featureIndices_(featureIndicesOf(feature_names)),
       threshold_(1.0 - guardband), sensorIndex_(sensor_index)
 {
-    boreas_assert(model_ != nullptr && model_->trained(),
-                  "BoreasController needs a trained model");
-    flat_ = FlatGBT(*model_);
-    boreas_assert(model_->numFeatures() == featureIndices_.size(),
+    boreas_assert(flat_.numFeatures() == featureIndices_.size(),
                   "model expects %zu features, got %zu",
-                  model_->numFeatures(), featureIndices_.size());
+                  flat_.numFeatures(), featureIndices_.size());
     boreas_assert(guardband >= 0.0 && guardband < 1.0,
                   "bad guardband %f", guardband);
 }

@@ -35,7 +35,8 @@ class BoreasController : public FrequencyController
   public:
     /**
      * @param name display name ("ML00", "ML05", "ML10")
-     * @param model trained severity regressor (not owned; outlives this)
+     * @param model trained severity regressor (compiled into the
+     *        controller's flat engine; need not outlive it)
      * @param feature_names model input columns (full-schema names)
      * @param guardband fraction subtracted from the 1.0 threshold
      * @param sensor_index sensor providing temperature_sensor_data
@@ -56,10 +57,9 @@ class BoreasController : public FrequencyController
 
   private:
     std::string name_;
-    const GBTRegressor *model_;
-    /** Flat engine compiled from *model_ at construction: the serving
-     *  path every per-period severity query goes through (bit-identical
-     *  to model_->predict; DESIGN.md §12). */
+    /** Flat engine compiled from the model at construction: the
+     *  serving path every per-period severity query goes through
+     *  (bit-identical to GBTRegressor::predict; DESIGN.md §12). */
     FlatGBT flat_;
     std::vector<size_t> featureIndices_;
     double threshold_;

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <numeric>
 #include <ostream>
 
 #include "common/checked.hh"
 #include "common/iofmt.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
-#include "common/rng.hh"
 #include "ml/gbt_flat.hh"
 #include "obs/trace.hh"
 
@@ -160,28 +160,15 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
 
     std::vector<double> pred(n, base_);
     std::vector<double> grad(n, 0.0);
-    Rng rng(params.seed);
-
-    std::vector<int> all_rows(n);
-    for (size_t i = 0; i < n; ++i)
-        all_rows[i] = static_cast<int>(i);
+    std::vector<int> rows(n);
 
     for (int t = 0; t < params.nEstimators; ++t) {
         for (size_t i = 0; i < n; ++i)
             grad[i] = pred[i] - data.y(i);
 
-        // Optional row subsampling per boosting round.
-        std::vector<int> rows;
-        if (params.subsample >= 1.0) {
-            rows = all_rows;
-        } else {
-            rows.reserve(static_cast<size_t>(n * params.subsample) + 1);
-            for (size_t i = 0; i < n; ++i)
-                if (rng.uniform() < params.subsample)
-                    rows.push_back(static_cast<int>(i));
-            if (rows.empty())
-                rows = all_rows;
-        }
+        // Every round partitions all rows afresh from 0..n-1: the
+        // histogram accumulation order follows this order.
+        std::iota(rows.begin(), rows.end(), 0);
 
         GBTTree tree;
         // Recursive level-wise growth over index ranges of `rows`.
@@ -194,6 +181,17 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
         tree.nodes.push_back({});
         std::vector<Task> stack{{0, 0, rows.size(), 0}};
 
+        // A task that ends as a leaf settles its rows: the partitions
+        // above it gathered exactly the rows whose descent reaches
+        // this leaf into [begin, end), so each row gets its one
+        // pred += learningRate * leaf of the round without walking
+        // the tree.
+        auto settle = [&](const Task &task, double leaf) {
+            const double step = params.learningRate * leaf;
+            for (size_t k = task.begin; k < task.end; ++k)
+                pred[rows[k]] += step;
+        };
+
         while (!stack.empty()) {
             const Task task = stack.back();
             stack.pop_back();
@@ -204,11 +202,12 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
             for (size_t k = task.begin; k < task.end; ++k)
                 gsum += grad[rows[k]];
 
-            GBTNode &placeholder = tree.nodes[task.node];
-            placeholder.value = leafWeight(gsum, hsum, params.lambda);
+            const double leaf = leafWeight(gsum, hsum, params.lambda);
+            tree.nodes[task.node].value = leaf;
 
             if (task.depth >= params.maxDepth ||
                 hsum < 2.0 * params.minChildWeight) {
+                settle(task, leaf);
                 continue; // stays a leaf
             }
 
@@ -303,10 +302,15 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
                 }
             }
 
-            if (best_feature < 0)
+            if (best_feature < 0) {
+                settle(task, leaf);
                 continue; // no profitable split: leaf
+            }
 
-            // Partition the row range by the winning bin.
+            // Partition the row range by the winning bin. For a
+            // finite x, code <= best_bin exactly when
+            // x <= cuts[best_bin] (binFeatures' lower_bound), the
+            // node's threshold: the same side GBTTree::predict takes.
             const auto mid_it = std::partition(
                 rows.begin() + task.begin, rows.begin() + task.end,
                 [&](int r) {
@@ -315,8 +319,10 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
                 });
             const size_t mid = static_cast<size_t>(
                 mid_it - rows.begin());
-            if (mid == task.begin || mid == task.end)
+            if (mid == task.begin || mid == task.end) {
+                settle(task, leaf);
                 continue; // degenerate partition: leaf
+            }
 
             const int left = static_cast<int>(tree.nodes.size());
             tree.nodes.push_back({});
@@ -332,25 +338,6 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
 
             stack.push_back({left, task.begin, mid, task.depth + 1});
             stack.push_back({right, mid, task.end, task.depth + 1});
-        }
-
-        // Update running predictions with the shrunk tree output
-        // (independent per row; fanned out for large datasets). The
-        // freshly grown tree is flattened first: treeLeaf() selects
-        // the same leaf as tree.predict(), so the update is
-        // bit-identical while the descent is branchless.
-        {
-            obs::ScopedTimer timer("gbt.predict");
-            const FlatGBT flat_tree =
-                FlatGBT::fromSingleTree(tree, nf);
-            ThreadPool::global().parallelFor(
-                0, static_cast<int64_t>(n), 4096,
-                [&](int64_t lo, int64_t hi) {
-                    for (int64_t i = lo; i < hi; ++i) {
-                        pred[i] += params.learningRate *
-                            flat_tree.treeLeaf(0, data.row(i));
-                    }
-                });
         }
 
         trees_.push_back(std::move(tree));
@@ -400,7 +387,6 @@ GBTRegressor::predictAll(const Dataset &data) const
 {
     boreas_assert(data.numFeatures() == numFeatures_,
                   "dataset feature count mismatch");
-    obs::ScopedTimer timer("gbt.predict");
     // Compile-and-batch through the flat engine: compilation is a few
     // microseconds for paper-sized models, and predictBatch is
     // bit-identical to the per-row reference walk (DESIGN.md §12).

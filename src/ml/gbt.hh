@@ -12,6 +12,9 @@
  *
  * with leaf weight -G/(H+lambda). alpha (the paper's name for the
  * learning rate), gamma, max_depth and n_estimators match Table II.
+ * Each round's running predictions are settled from the grower's own
+ * row partition: a node that ends as a leaf adds alpha * weight to the
+ * rows it holds, so training never walks a tree it has just grown.
  *
  * The class also exposes what the paper's overhead analysis needs
  * (Sec. V-E): gain-based feature importance, serialized model size in
@@ -40,8 +43,6 @@ struct GBTParams
     double lambda = 1.0;        ///< L2 regularization on leaf weights
     double minChildWeight = 1.0;///< min hessian sum per child
     int maxBins = 256;
-    double subsample = 1.0;     ///< row sampling per tree
-    uint64_t seed = 1;
 };
 
 /** One node of a regression tree (leaf iff feature < 0). */

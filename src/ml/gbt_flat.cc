@@ -64,8 +64,7 @@ validateTree(const GBTTree &tree, size_t num_features)
  */
 void
 fillSubtree(const GBTTree &tree, int orig, int32_t k, int level,
-            int depth, int32_t *feature, uint16_t *cut, double *thr,
-            double *leaf)
+            int depth, int32_t *feature, double *thr, double *leaf)
 {
     const GBTNode &node = tree.nodes[orig];
     if (level == depth) {
@@ -77,47 +76,31 @@ fillSubtree(const GBTTree &tree, int orig, int32_t k, int level,
     if (node.feature >= 0) {
         feature[k] = node.feature;
         thr[k] = node.threshold;
-        // cut[k] is patched by the caller once the cut table exists.
         fillSubtree(tree, node.left, 2 * k + 1, level + 1, depth,
-                    feature, cut, thr, leaf);
+                    feature, thr, leaf);
         fillSubtree(tree, node.right, 2 * k + 2, level + 1, depth,
-                    feature, cut, thr, leaf);
+                    feature, thr, leaf);
     } else {
         // Padding: replicate the leaf below a vacuous split.
         feature[k] = 0;
         thr[k] = std::numeric_limits<double>::infinity();
         fillSubtree(tree, orig, 2 * k + 1, level + 1, depth, feature,
-                    cut, thr, leaf);
+                    thr, leaf);
         fillSubtree(tree, orig, 2 * k + 2, level + 1, depth, feature,
-                    cut, thr, leaf);
+                    thr, leaf);
     }
 }
 
 } // namespace
 
 FlatGBT::FlatGBT(const GBTRegressor &model)
+    : numFeatures_(model.numFeatures()),
+      base_(model.basePrediction()),
+      learningRate_(model.params().learningRate)
 {
-    compile(model.trees(), model.numFeatures(), model.basePrediction(),
-            model.params().learningRate);
-}
-
-FlatGBT
-FlatGBT::fromSingleTree(const GBTTree &tree, size_t num_features)
-{
-    FlatGBT flat;
-    flat.compile({tree}, num_features, 0.0, 1.0);
-    return flat;
-}
-
-void
-FlatGBT::compile(const std::vector<GBTTree> &trees, size_t num_features,
-                 double base, double learning_rate)
-{
+    boreas_assert(model.trained(), "FlatGBT needs a trained model");
     obs::ScopedTimer timer("gbt.flat_compile");
-    numFeatures_ = num_features;
-    base_ = base;
-    learningRate_ = learning_rate;
-
+    const std::vector<GBTTree> &trees = model.trees();
     const size_t nt = trees.size();
     treeDepth_.resize(nt);
     nodeOffset_.resize(nt);
@@ -126,7 +109,7 @@ FlatGBT::compile(const std::vector<GBTTree> &trees, size_t num_features,
     // Pass 1: validate every tree and lay out the padded geometry.
     int64_t total_nodes = 0, total_leaves = 0;
     for (size_t t = 0; t < nt; ++t) {
-        const int d = validateTree(trees[t], num_features);
+        const int d = validateTree(trees[t], numFeatures_);
         treeDepth_[t] = d;
         nodeOffset_[t] = static_cast<int32_t>(total_nodes);
         leafOffset_[t] = static_cast<int32_t>(total_leaves);
@@ -134,82 +117,25 @@ FlatGBT::compile(const std::vector<GBTTree> &trees, size_t num_features,
         total_leaves += int64_t(1) << d;
     }
 
-    // Pass 2: the quantized threshold table — per feature, the sorted
-    // distinct cut values the trainer actually split on.
-    std::vector<std::vector<double>> per_feature(num_features);
-    for (const GBTTree &tree : trees)
-        for (const GBTNode &node : tree.nodes)
-            if (node.feature >= 0)
-                per_feature[node.feature].push_back(node.threshold);
-    cutOffset_.assign(num_features + 1, 0);
-    cuts_.clear();
-    for (size_t f = 0; f < num_features; ++f) {
-        auto &v = per_feature[f];
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
-        boreas_assert(v.size() <= 0xFFFF,
-                      "FlatGBT: feature %zu has %zu distinct cuts "
-                      "(16-bit cut index overflow)", f, v.size());
-        cutOffset_[f] = static_cast<int32_t>(cuts_.size());
-        cuts_.insert(cuts_.end(), v.begin(), v.end());
-    }
-    cutOffset_[num_features] = static_cast<int32_t>(cuts_.size());
-
-    // Pass 3: fill the SoA arrays tree by tree, then snap every real
-    // split to its cut index (padding slots keep cut 0 / +inf).
+    // Pass 2: fill the SoA arrays tree by tree.
     feature_.assign(total_nodes, 0);
-    cut_.assign(total_nodes, 0);
     thr_.assign(total_nodes,
                 std::numeric_limits<double>::infinity());
     leaf_.assign(total_leaves, 0.0);
     for (size_t t = 0; t < nt; ++t) {
         fillSubtree(trees[t], 0, 0, 0, treeDepth_[t],
                     feature_.data() + nodeOffset_[t],
-                    cut_.data() + nodeOffset_[t],
                     thr_.data() + nodeOffset_[t],
                     leaf_.data() + leafOffset_[t]);
     }
-    for (size_t i = 0; i < feature_.size(); ++i) {
-        if (std::isinf(thr_[i]))
-            continue; // padding slot
-        const int32_t f = feature_[i];
-        const double *lo = cuts_.data() + cutOffset_[f];
-        const double *hi = cuts_.data() + cutOffset_[f + 1];
-        const double *it = std::lower_bound(lo, hi, thr_[i]);
-        boreas_assert(it != hi && *it == thr_[i],
-                      "FlatGBT: threshold missing from its own cut "
-                      "table (feature %d)", f);
-        cut_[i] = static_cast<uint16_t>(it - lo);
-        // Decode through the table: the hot loop compares the exact
-        // double the reference tree stores, by construction.
-        thr_[i] = *it;
-    }
-    compiled_ = true;
 }
 
 size_t
 FlatGBT::flatBytes() const
 {
     return treeDepth_.size() * sizeof(int32_t) * 3 +
-        feature_.size() * (sizeof(int32_t) + sizeof(uint16_t) +
-                           sizeof(double)) +
-        leaf_.size() * sizeof(double) +
-        cuts_.size() * sizeof(double) +
-        cutOffset_.size() * sizeof(int32_t);
-}
-
-double
-FlatGBT::treeLeaf(size_t t, const double *x) const
-{
-    const int32_t d = treeDepth_[t];
-    const int32_t *feat = feature_.data() + nodeOffset_[t];
-    const double *thr = thr_.data() + nodeOffset_[t];
-    int32_t k = 0;
-    for (int32_t level = 0; level < d; ++level) {
-        const int32_t i = k;
-        k = 2 * i + 1 + (x[feat[i]] <= thr[i] ? 0 : 1);
-    }
-    return leaf_[leafOffset_[t] + k - ((1 << d) - 1)];
+        feature_.size() * (sizeof(int32_t) + sizeof(double)) +
+        leaf_.size() * sizeof(double);
 }
 
 double
@@ -217,8 +143,15 @@ FlatGBT::predictOne(const double *x) const
 {
     double acc = base_;
     const size_t nt = treeDepth_.size();
-    for (size_t t = 0; t < nt; ++t)
-        acc += learningRate_ * treeLeaf(t, x);
+    for (size_t t = 0; t < nt; ++t) {
+        const int32_t d = treeDepth_[t];
+        const int32_t *feat = feature_.data() + nodeOffset_[t];
+        const double *thr = thr_.data() + nodeOffset_[t];
+        int32_t k = 0;
+        for (int32_t level = 0; level < d; ++level)
+            k = 2 * k + 1 + (x[feat[k]] <= thr[k] ? 0 : 1);
+        acc += learningRate_ * leaf_[leafOffset_[t] + k - ((1 << d) - 1)];
+    }
     return acc;
 }
 
@@ -298,7 +231,6 @@ FlatGBT::predictRange(const double *rows, int64_t lo, int64_t hi,
 void
 FlatGBT::predictBatch(const double *rows, size_t n, double *out) const
 {
-    boreas_assert(compiled_, "FlatGBT::predictBatch before compile");
     if (n == 0)
         return;
     obs::ScopedTimer timer("gbt.flat_predict");

@@ -12,19 +12,22 @@
  *   - every tree is padded to a perfect binary tree of its own depth,
  *     so children are pure node-index arithmetic (left = 2k+1,
  *     right = 2k+2) and the descent is branchless;
- *   - split thresholds are snapped to the per-feature binned cut
- *     table they were chosen from (gbt.cc quantile binning): nodes
- *     store a 16-bit cut index, and the comparison decodes the exact
- *     same double the reference tree compares against, so no
- *     prediction can change (§12 quantization argument);
+ *   - each internal slot holds its split feature and the exact double
+ *     threshold the reference tree compares against, so no prediction
+ *     can change;
  *   - leaf values live in one contiguous array per ensemble.
+ *
+ * A FlatGBT is compiled by its constructor and immutable after it; it
+ * is the one serving path (the controller's per-period queries,
+ * GBTRegressor::predictAll, the throughput and latency benches).
  *
  * predictBatch() fans row ranges over ThreadPool::global().parallelFor
  * and walks rows through each tree in blocks of eight (independent
  * descents keep the pipeline full; depths 1-4 are unrolled at compile
- * time), with a scalar tail for the leftover rows. Every row's accumulation order is identical to
- * GBTRegressor::predict — base + learningRate * leaf, in tree order —
- * so results are bit-identical at every batch size and thread count.
+ * time), with a scalar tail for the leftover rows. Every row's
+ * accumulation order is identical to GBTRegressor::predict — base +
+ * learningRate * leaf, in tree order — so results are bit-identical at
+ * every batch size and thread count.
  */
 
 #pragma once
@@ -43,25 +46,14 @@ class FlatGBT
 {
   public:
     /** Trees deeper than this would blow up the perfect-tree padding
-     *  (2^depth leaf slots per tree); compile refuses them. */
+     *  (2^depth leaf slots per tree); the constructor refuses them. */
     static constexpr int kMaxDepth = 20;
 
-    FlatGBT() = default;
-
     /** Compile a trained ensemble. Validates the model structure
-     *  (feature indices, forward-pointing children, finite values)
-     *  and panics on a malformed model. */
+     *  (feature indices, forward-pointing children, finite values,
+     *  depth within kMaxDepth) and panics on a malformed model. */
     explicit FlatGBT(const GBTRegressor &model);
 
-    /**
-     * Flatten one tree with base 0 (the trainer's per-round predict
-     * phase: callers scale the raw treeLeaf() by their own learning
-     * rate, exactly as the reference update does).
-     */
-    static FlatGBT fromSingleTree(const GBTTree &tree,
-                                  size_t num_features);
-
-    bool compiled() const { return compiled_; }
     size_t numTrees() const { return treeDepth_.size(); }
     size_t numFeatures() const { return numFeatures_; }
     double basePrediction() const { return base_; }
@@ -70,17 +62,12 @@ class FlatGBT
     size_t paddedNodes() const { return feature_.size(); }
     /** Padded leaf slots across the ensemble. */
     size_t paddedLeaves() const { return leaf_.size(); }
-    /** Distinct quantized thresholds across all features. */
-    size_t numCuts() const { return cuts_.size(); }
     /** Resident footprint of the SoA arrays, in bytes. */
     size_t flatBytes() const;
 
     /** Predict one row (pointer to numFeatures() doubles);
      *  bit-identical to GBTRegressor::predict. */
     double predictOne(const double *x) const;
-
-    /** Raw (unscaled, baseless) leaf value of tree `t` for a row. */
-    double treeLeaf(size_t t, const double *x) const;
 
     /**
      * Predict `n` rows (row-major, numFeatures() doubles each) into
@@ -94,15 +81,12 @@ class FlatGBT
     std::vector<double> predictDataset(const Dataset &data) const;
 
   private:
-    void compile(const std::vector<GBTTree> &trees, size_t num_features,
-                 double base, double learning_rate);
     void predictRange(const double *rows, int64_t lo, int64_t hi,
                       double *out) const;
 
-    bool compiled_ = false;
-    size_t numFeatures_ = 0;
-    double base_ = 0.0;
-    double learningRate_ = 1.0;
+    size_t numFeatures_;
+    double base_;
+    double learningRate_;
 
     // Per-tree geometry: depth, and offsets into the node/leaf arrays.
     std::vector<int32_t> treeDepth_;
@@ -110,17 +94,11 @@ class FlatGBT
     std::vector<int32_t> leafOffset_;
 
     // Internal-node SoA in per-tree heap order (slot k's children are
-    // 2k+1 / 2k+2). thr_ is the cut table decoded per node so the hot
-    // loop pays one load, not two.
+    // 2k+1 / 2k+2); padding slots split on feature 0 at +inf.
     std::vector<int32_t> feature_;
-    std::vector<uint16_t> cut_; ///< index into the feature's cut slice
     std::vector<double> thr_;
 
     std::vector<double> leaf_;
-
-    // Quantized threshold table: sorted distinct cuts per feature.
-    std::vector<double> cuts_;
-    std::vector<int32_t> cutOffset_; ///< per-feature slice starts
 };
 
 } // namespace boreas

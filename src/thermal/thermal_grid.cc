@@ -120,15 +120,9 @@ ThermalGrid::setUnitPower(const std::vector<Watts> &unit_power)
         checkValuesInRange(unit_power.data(), unit_power.size(), 0.0,
                            1e6, "unit power");
     }
-    // Controllers frequently hold power constant across intervals; an
-    // input identical to the previous call would reproduce pCell_ (and
-    // the spectral power transform) bit for bit, so skip the rescatter.
-    if (!unitPowerCache_.empty() && unit_power == unitPowerCache_)
-        return;
-    // The ingest is everything past that early return: the unit->cell
+    // The ingest is everything past the input checks: the unit->cell
     // rescatter plus the spectral power transform.
     obs::ScopedTimer timer("stage.thermal.ingest");
-    unitPowerCache_ = unit_power;
 
     std::fill(pCell_.begin(), pCell_.end(), 0.0);
     for (size_t u = 0; u < unit_power.size(); ++u) {

@@ -136,9 +136,9 @@ class ThermalGrid
     /**
      * Set the power map for the next integration interval from per-unit
      * powers (indexed like Floorplan::units()); distributed over cells
-     * by area overlap. A vector identical to the previous call's is
-     * detected and skipped (controllers frequently hold power constant
-     * across intervals).
+     * by area overlap. Every call rescatters: leakage and residual
+     * noise move unit power every interval, so a repeated vector is
+     * rare and costs one redundant ingest.
      */
     void setUnitPower(const std::vector<Watts> &unit_power);
 
@@ -242,9 +242,6 @@ class ThermalGrid
     mutable bool siValid_ = true;   ///< tSi_ current?
     mutable bool spValid_ = true;   ///< tSp_ current?
     bool warnedShadowFallback_ = false;
-
-    // Last accepted unit-power vector (identical-input skip).
-    std::vector<Watts> unitPowerCache_;
 
     // Transform and mode-coefficient scratch for the closed-form
     // steady-state solve.

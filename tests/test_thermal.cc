@@ -363,11 +363,11 @@ TEST_P(ThermalSubstepInvariance, ReferenceResultIndependentOfStepPartition)
 INSTANTIATE_TEST_SUITE_P(Partitions, ThermalSubstepInvariance,
                          ::testing::Values(80e-6, 160e-6, 400e-6));
 
-TEST(ThermalGrid, RepeatedIdenticalPowerVectorIsSkippedHarmlessly)
+TEST(ThermalGrid, RepeatedIdenticalPowerVectorIsHarmless)
 {
-    // setUnitPower() detects an input identical to the previous call
-    // and skips the cell scatter; the trajectory must be bit-identical
-    // to calling it once.
+    // Re-setting an identical power vector rescatters it to the same
+    // cell powers; the trajectory must be bit-identical to setting it
+    // once.
     const Floorplan fp = buildSkylakeFloorplan();
     ThermalGrid a(fp, smallGrid());
     ThermalGrid b(fp, smallGrid());
@@ -377,7 +377,7 @@ TEST(ThermalGrid, RepeatedIdenticalPowerVectorIsSkippedHarmlessly)
     a.setUnitPower(power);
     b.setUnitPower(power);
     for (int i = 0; i < 25; ++i) {
-        // a: redundant re-set every step (the skip path); b: set once.
+        // a: redundant re-set every step; b: set once.
         a.setUnitPower(std::vector<Watts>(power));
         a.step(80e-6);
         b.step(80e-6);
