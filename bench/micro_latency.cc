@@ -6,7 +6,8 @@
  * MLTD/severity evaluation, and one full pipeline telemetry step —
  * plus the spectral solver's per-step cost: one 64x64 forward and
  * inverse DCT, the mode sweep alone, and one ingest -> step -> publish
- * cycle.
+ * cycle — and the per-step state hash through byte-wise FNV-1a and
+ * through the eight-lane StateHasher.
  *
  * Every benchmark runs kRepetitions times so the capturing reporter
  * can surface tail latency: the artifact's "latency" series carries
@@ -21,6 +22,7 @@
 #include "boreas/pipeline.hh"
 #include "boreas/trainer.hh"
 #include "common/dct.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "control/boreas_controller.hh"
@@ -254,6 +256,62 @@ BM_PipelineTelemetryStep(benchmark::State &bm)
         benchmark::DoNotOptimize(s.pipeline.step(4.0));
 }
 BENCHMARK(BM_PipelineTelemetryStep)->Apply(microBench);
+
+/** One default-grid (64x64) pipeline step's hashed state, without the
+ *  shared training so the StateHash rows run on their own. */
+struct HashedStep
+{
+    HashedStep()
+    {
+        SimulationPipeline pipeline;
+        auto source = makeSyntheticSource(findWorkload("bzip2"));
+        pipeline.start(*source, 1);
+        rec = pipeline.step(4.0);
+        counters.assign(rec.counters.values.begin(),
+                        rec.counters.values.end());
+        field = pipeline.thermalGrid().siliconTemps();
+        sink = pipeline.thermalGrid().sinkTemp();
+    }
+
+    StepRecord rec;
+    std::vector<double> counters;
+    std::vector<double> field;
+    double sink = 0.0;
+};
+
+/**
+ * The per-step state hash over one real step, in the word order of
+ * SimulationPipeline::step, through byte-wise Fnv1a (the previous
+ * state hash, kept as the same-process baseline) and StateHasher.
+ */
+template <class Hasher>
+static void
+BM_StateHash(benchmark::State &bm)
+{
+    static const HashedStep s;
+    for (auto _ : bm) {
+        Hasher h;
+        h.add(s.rec.step);
+        h.add(s.rec.frequency);
+        h.add(s.rec.voltage);
+        h.add(s.counters);
+        h.add(s.rec.totalPower);
+        h.add(s.rec.severity.maxSeverity);
+        h.add(s.rec.severity.argmaxCell);
+        h.add(s.rec.severity.tempAtMax);
+        h.add(s.rec.severity.mltdAtMax);
+        h.add(s.rec.severity.maxTemp);
+        h.add(s.rec.severity.maxMltd);
+        h.add(s.rec.sensorReadings);
+        h.add(s.rec.sensorTrue);
+        h.add(s.field);
+        h.add(s.sink);
+        h.add(1); // the core's activity flag
+        benchmark::DoNotOptimize(h.digest());
+    }
+}
+BENCHMARK_TEMPLATE(BM_StateHash, Fnv1a)->Apply(microBench);
+BENCHMARK_TEMPLATE(BM_StateHash, StateHasher)->Apply(microBench);
 
 static void
 BM_SteadyStateSolve(benchmark::State &bm)

@@ -242,17 +242,15 @@ SimulationPipeline::step(GHz freq)
 
     // Bitwise fingerprint of everything this step observed or
     // mutated. Fed by the determinism audit (tests compare it across
-    // thread counts). Byte-wise FNV-1a over the counters and fields is
-    // one of the larger per-step stages, well above the spectral
-    // thermal step itself.
+    // thread counts). StateHasher takes the ~4,200 words eight lanes
+    // at a time (common/hash.hh); the run-level chain stays Fnv1a.
     {
         obs::ScopedTimer timer("stage.hash");
-        Fnv1a hasher;
+        StateHasher hasher;
         hasher.add(rec.step);
         hasher.add(rec.frequency);
         hasher.add(rec.voltage);
-        for (double v : rec.counters.values)
-            hasher.add(v);
+        hasher.add(rec.counters.values.data(), rec.counters.values.size());
         hasher.add(rec.totalPower);
         hasher.add(rec.severity.maxSeverity);
         hasher.add(rec.severity.argmaxCell);
@@ -266,8 +264,8 @@ SimulationPipeline::step(GHz freq)
         hasher.add(grid_.sinkTemp());
         // The other cores' telemetry, then every core's activity.
         for (int c = 1; c < ncores; ++c) {
-            for (double v : core_counters[c].values)
-                hasher.add(v);
+            hasher.add(core_counters[c].values.data(),
+                       core_counters[c].values.size());
         }
         for (int c = 0; c < ncores; ++c)
             hasher.add(static_cast<int>(stimuli[c].active));

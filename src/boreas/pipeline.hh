@@ -79,11 +79,11 @@ struct StepRecord
     std::vector<Celsius> sensorTrue;     ///< instantaneous at the sites
 
     /**
-     * FNV-1a over this step's full observable state (every core's
-     * counters and activity, power, severity, sensors) plus the
-     * silicon temperature field — the bitwise fingerprint the
-     * determinism audit compares across thread counts (DESIGN.md §7).
-     * One layout for every core count.
+     * StateHasher digest (common/hash.hh) of this step's full
+     * observable state (every core's counters and activity, power,
+     * severity, sensors) plus the silicon temperature field — the
+     * bitwise fingerprint the determinism audit compares across thread
+     * counts (DESIGN.md §7). One layout for every core count.
      */
     uint64_t stateHash = 0;
 };

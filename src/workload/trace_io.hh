@@ -26,11 +26,11 @@
  *                f64 rngSpare, f64 phase[17] (PhaseParams fields in
  *                declaration order, arch/core_model.hh)
  *
- * The checksum is the same FNV-1a the determinism contract uses
- * (common/hash.hh); like the runHash it compares bit patterns, so it
- * is not portable across endianness — traces are fixed little-endian
- * precisely so the *container* stays portable even though replay
- * equality is only meaningful on matching FP hardware.
+ * The checksum is common/hash.hh's Fnv1a, which must never change;
+ * like the runHash it compares bit patterns, so it is not portable
+ * across endianness — traces are fixed little-endian precisely so the
+ * *container* stays portable even though replay equality is only
+ * meaningful on matching FP hardware.
  */
 
 #pragma once

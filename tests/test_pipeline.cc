@@ -1,8 +1,14 @@
 /** @file Integration tests for the coupled simulation pipeline. */
 
+#include <cinttypes>
+#include <cstdio>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "control/static_controllers.hh"
+#include "control/thermal_controller.hh"
 #include "test_util.hh"
 
 using namespace boreas;
@@ -179,4 +185,103 @@ TEST(PipelineDeathTest, StepBeforeStartPanics)
 {
     SimulationPipeline p(fastPipelineConfig());
     EXPECT_DEATH(p.step(4.0), "before start");
+}
+
+namespace
+{
+
+/** One row of the end-to-end golden matrix. */
+struct GoldenRun
+{
+    const char *source; ///< registry spec; "trace" is the fixture
+    bool thController;  ///< TH-00 closed loop, else constant 4.25 GHz
+    int grid;           ///< nx = ny
+    uint64_t runHash;
+    uint64_t lastStateHash;
+};
+
+/** The committed boreas-trace-v1 fixture (tests/data/). */
+std::string
+goldenSpec(const char *source)
+{
+    const std::string s = source;
+    return s == "trace"
+        ? "trace:" + std::string(BOREAS_TEST_DATA) + "/mix_mcf_cgB.trace"
+        : s;
+}
+
+std::string
+hex(uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+    return buf;
+}
+
+} // namespace
+
+TEST(Pipeline, GoldenRunHashes)
+{
+    // End-to-end fingerprints of 150-step runs: every counter, power,
+    // sensor, severity and silicon-field bit of every step feeds the
+    // runHash, so any behaviour change (or a change of the state
+    // hasher itself) shows up here as a moved golden. Values hold for
+    // x86-64 GCC + glibc (the core and power models call libm).
+    const GoldenRun cases[] = {
+        {"gamess", false, 64, 0xd64c69235d10a2db, 0x75b9e9c9cb66f173},
+        {"gamess", true, 64, 0x2ddd345a38b76c13, 0xa0ee869ff16051fc},
+        {"gamess", false, 32, 0x6a8f566bb4b0ec00, 0x1132f2058644c487},
+        {"gamess", true, 32, 0x4fb07a3e7a85699c, 0x6c736d6087e984a8},
+        {"mix:mcf+cg.B@stagger=0.8e-3", false, 64,
+         0xb2799ca80fd202b7, 0xdcd8a7f07ea88dd4},
+        {"mix:mcf+cg.B@stagger=0.8e-3", true, 64,
+         0x102df95c025c7b59, 0xc14808ec97e0b9fe},
+        {"mix:mcf+cg.B@stagger=0.8e-3", false, 32,
+         0x4225adf7793d1d20, 0x68097f73f5a2d7c3},
+        {"mix:mcf+cg.B@stagger=0.8e-3", true, 32,
+         0x8f9b014621105293, 0x30dfaeac118c8b2a},
+        {"adversarial:corehop", false, 64,
+         0xd9cb06f2481d4248, 0x4959faecf25ab89e},
+        {"adversarial:corehop", true, 64,
+         0x5c817891706d65e1, 0x4c9275b7f467efe1},
+        {"adversarial:corehop", false, 32,
+         0xd5d6b2c2f3415f65, 0x8e7fdbeace24ef20},
+        {"adversarial:corehop", true, 32,
+         0x0a868b49182d3a5d, 0x063c450c4ab53a96},
+        {"trace", false, 64, 0x741cebfd420bcf37, 0xffa0dacaca3a257f},
+        {"trace", true, 64, 0xfd3f6c8790bfde61, 0x33f88f5c1c199a77},
+        {"trace", false, 32, 0x17098dbe24694f90, 0xf5055c3a6a297ff0},
+        {"trace", true, 32, 0x05f35e796f6a7a65, 0xb36b51319b0181bf},
+    };
+    constexpr uint64_t kSeed = 7;
+    constexpr GHz kFreq = 4.25;
+    // Thresholds tighten with frequency; TH-00 moves off 4.25 GHz
+    // within 150 steps on every source.
+    CriticalTempTable table;
+    for (int i = 0; i < VFTable().numPoints(); ++i)
+        table.criticalTemp.push_back(100.0 - 3.0 * i);
+    ThermalThresholdController th("TH-00", table, 0.0, kBestSensorIndex);
+
+    for (const GoldenRun &c : cases) {
+        PipelineConfig cfg;
+        cfg.thermal.nx = c.grid;
+        cfg.thermal.ny = c.grid;
+        // Checked builds shadow every step with forward Euler and adopt
+        // its result past a fixed tolerance, which corehop at 32x32
+        // exceeds; the goldens pin the spectral path in every build.
+        cfg.thermal.spectralShadowTolerance =
+            std::numeric_limits<double>::infinity();
+        SimulationPipeline p(cfg);
+        auto source = makeWorkloadSource(goldenSpec(c.source));
+        const RunResult run = c.thController
+            ? p.runWithController(*source, kSeed, th, kFreq, kTraceSteps)
+            : p.runConstantFrequency(*source, kSeed, kFreq, kTraceSteps);
+        ASSERT_EQ(run.steps.size(), static_cast<size_t>(kTraceSteps));
+        const std::string name = std::string(c.source) +
+            (c.thController ? " TH-00 " : " 4.25 GHz ") +
+            std::to_string(c.grid) + "x" + std::to_string(c.grid);
+        EXPECT_EQ(hex(p.runHash()), hex(c.runHash)) << name;
+        EXPECT_EQ(hex(run.steps.back().stateHash), hex(c.lastStateHash))
+            << name;
+    }
 }
