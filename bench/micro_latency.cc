@@ -6,8 +6,9 @@
  * MLTD/severity evaluation, and one full pipeline telemetry step —
  * plus the spectral solver's per-step cost: one 64x64 forward and
  * inverse DCT, the mode sweep alone, and one ingest -> step -> publish
- * cycle — and the per-step state hash through byte-wise FNV-1a and
- * through the eight-lane StateHasher.
+ * cycle — the per-step state hash through byte-wise FNV-1a and
+ * through the eight-lane StateHasher, and one warm-start steady-state
+ * solve.
  *
  * Every benchmark runs kRepetitions times so the capturing reporter
  * can surface tail latency: the artifact's "latency" series carries
@@ -313,6 +314,11 @@ BM_StateHash(benchmark::State &bm)
 BENCHMARK_TEMPLATE(BM_StateHash, Fnv1a)->Apply(microBench);
 BENCHMARK_TEMPLATE(BM_StateHash, StateHasher)->Apply(microBench);
 
+/**
+ * One 32x32 warm-start steady state: the mode-space solve, the two
+ * inverse transforms that publish it and the two forward transforms
+ * of the re-ingest (DESIGN.md §9.7).
+ */
 static void
 BM_SteadyStateSolve(benchmark::State &bm)
 {

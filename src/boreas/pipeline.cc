@@ -114,7 +114,6 @@ SimulationPipeline::start(WorkloadSource &source, uint64_t seed,
     stepIndex_ = 0;
     runHash_ = 0;
 
-    grid_.reset(config_.thermal.ambient);
     std::vector<Watts> warm_power;
     if (config_.warmStart) {
         const GHz warm_freq = warm_freq_override > 0.0
@@ -129,8 +128,12 @@ SimulationPipeline::start(WorkloadSource &source, uint64_t seed,
             warm_power = meanUnitPower(source, seed ^ 0x5eedULL, warm_freq);
         }
         grid_.setUnitPower(warm_power);
+        // The steady solve replaces the whole thermal state, so a warm
+        // start needs no reset() first.
         obs::ScopedTimer steady_timer("stage.thermal.steady");
         grid_.solveSteadyState();
+    } else {
+        grid_.reset(config_.thermal.ambient);
     }
 
     // Sensors start in equilibrium with their local silicon.

@@ -112,11 +112,11 @@ class SimulationPipeline
     const SeverityModel &severityModel() const { return severity_; }
     const ThermalGrid &thermalGrid() const { return grid_; }
     SensorBank &sensorBank() { return sensors_; }
-    const IntervalCore &coreModel() const { return core_; }
 
     /**
-     * Begin a run driven by the given workload source. Resets thermal
-     * state (with warm start if configured), sensors and the source
+     * Begin a run driven by the given workload source. Replaces the
+     * thermal state (the steady state of the warm power if configured,
+     * else uniform ambient) and resets the sensors and the source
      * (reset(seed)). The source must outlive the run; it may drive up
      * to the floorplan's core count.
      *
@@ -143,9 +143,6 @@ class SimulationPipeline
 
     /** Advance one telemetry step at the given frequency. */
     StepRecord step(GHz freq);
-
-    /** Steps executed since start(). */
-    int currentStep() const { return stepIndex_; }
 
     /**
      * Running FNV-1a combination of every stateHash since start().

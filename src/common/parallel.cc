@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -250,76 +251,6 @@ parallelForEach(int64_t begin, int64_t end, int64_t grain,
             for (int64_t i = lo; i < hi; ++i)
                 fn(i);
         });
-}
-
-struct TaskGroup::State
-{
-    std::atomic<int64_t> outstanding{0};
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::exception_ptr error; ///< guarded by mutex
-};
-
-TaskGroup::TaskGroup(ThreadPool &pool)
-    : pool_(&pool), state_(std::make_shared<State>())
-{
-}
-
-TaskGroup::~TaskGroup()
-{
-    std::unique_lock<std::mutex> lock(state_->mutex);
-    state_->cv.wait(lock, [this] {
-        return state_->outstanding.load(std::memory_order_acquire) == 0;
-    });
-}
-
-void
-TaskGroup::run(std::function<void()> fn)
-{
-    // Inline when parallel execution cannot help (single lane) or when
-    // the caller is itself pool work (nested groups stay serial).
-    if (pool_->numThreads() <= 1 || ThreadPool::inWorker()) {
-        try {
-            fn();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(state_->mutex);
-            if (!state_->error)
-                state_->error = std::current_exception();
-        }
-        return;
-    }
-
-    auto state = state_;
-    state->outstanding.fetch_add(1, std::memory_order_acq_rel);
-    pool_->submit([state, fn = std::move(fn)] {
-        try {
-            fn();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(state->mutex);
-            if (!state->error)
-                state->error = std::current_exception();
-        }
-        if (state->outstanding.fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-            std::lock_guard<std::mutex> lock(state->mutex);
-            state->cv.notify_all();
-        }
-    });
-}
-
-void
-TaskGroup::wait()
-{
-    std::unique_lock<std::mutex> lock(state_->mutex);
-    state_->cv.wait(lock, [this] {
-        return state_->outstanding.load(std::memory_order_acquire) == 0;
-    });
-    if (state_->error) {
-        const std::exception_ptr err = state_->error;
-        state_->error = nullptr;
-        lock.unlock();
-        std::rethrow_exception(err);
-    }
 }
 
 } // namespace boreas

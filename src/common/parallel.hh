@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared parallel-execution layer: a small fixed-size thread pool with a
- * chunked parallel-for and a task-group API.
+ * chunked parallel-for, the one construct every fan-out uses.
  *
  * Threading model
  *   - One process-wide pool (ThreadPool::global()), sized from the
@@ -22,8 +22,8 @@
  *     order. Under that discipline results are bit-identical for every
  *     thread count; tests/test_parallel.cc asserts it end-to-end.
  *
- * Exceptions thrown by tasks are captured and the first one is
- * rethrown on the waiting thread.
+ * Exceptions thrown by chunks are captured and the first one is
+ * rethrown on the calling thread.
  */
 
 #pragma once
@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -86,10 +85,9 @@ class ThreadPool
     void parallelFor(int64_t begin, int64_t end, int64_t grain,
                      const std::function<void(int64_t, int64_t)> &fn);
 
-    /** Enqueue one opaque task (used by TaskGroup). */
-    void submit(std::function<void()> task);
-
   private:
+    /** Enqueue one opaque task (a parallelFor batch's drain loop). */
+    void submit(std::function<void()> task);
     void workerLoop();
 
     int numThreads_ = 1;
@@ -118,34 +116,5 @@ constexpr int kMaxThreadOverride = 4096;
  * undefined behaviour on the third. On success *out holds the count.
  */
 bool tryParseThreadCount(const char *text, int *out);
-
-/**
- * A set of independent tasks joined by wait(). Tasks run on the pool;
- * when the pool is single-laned (or the caller is a worker) run() runs
- * the task inline. wait() rethrows the first captured exception.
- */
-class TaskGroup
-{
-  public:
-    explicit TaskGroup(ThreadPool &pool = ThreadPool::global());
-
-    /** Joins outstanding tasks (exceptions are swallowed here; call
-     *  wait() to observe them). */
-    ~TaskGroup();
-
-    TaskGroup(const TaskGroup &) = delete;
-    TaskGroup &operator=(const TaskGroup &) = delete;
-
-    /** Add one task. */
-    void run(std::function<void()> fn);
-
-    /** Block until every task ran; rethrow the first exception. */
-    void wait();
-
-  private:
-    struct State;
-    ThreadPool *pool_;
-    std::shared_ptr<State> state_;
-};
 
 } // namespace boreas

@@ -222,6 +222,34 @@ SpectralThermalSolver::realizeSpreader(std::vector<Celsius> &sp)
     dct_.inverse(zSp_.data(), sp.data());
 }
 
+void
+SpectralThermalSolver::solveSteadyState()
+{
+    // Modes m != 0:  (gsi, -gv; -gv, gsp) (zsi, zsp) = (phat, 0).
+    const double gv = net_.gVert;
+    for (int kx = 0; kx < net_.nx; ++kx) {
+        for (int ky = 0; ky < net_.ny; ++ky) {
+            const int m = kx * net_.ny + ky;
+            if (m == 0)
+                continue;
+            const double lam = lamX_[kx] + lamY_[ky];
+            const double gsi = net_.gLatSi * lam + gv;
+            const double gsp = net_.gLatSp * lam + gv + net_.gSinkCell;
+            const double z = phat_[m] * gsp / (gsi * gsp - gv * gv);
+            zSi_[m] = z;
+            zSp_[m] = gv * z / gsp;
+        }
+    }
+
+    // Mode 0 (the field sums): all power P leaves through the sink, so
+    // the sink sits P Ra above ambient and each layer's sum sits one
+    // series drop above the next.
+    const double p = phat_[0];
+    tSink_ = net_.ambient + p * net_.sinkAmbientResistance;
+    zSp_[0] = n_ * tSink_ + p / net_.gSinkCell;
+    zSi_[0] = zSp_[0] + p / gv;
+}
+
 /**
  * Precompute the exact update coefficients for one dt.
  *

@@ -20,12 +20,14 @@
  * One step is therefore a cheap per-mode SoA sweep with no stability
  * limit — none of the forward-Euler reference's substeps.
  *
- * State residency: the solver keeps its state in mode space. Callers
- * load real-space state with loadState(), push power maps through
- * setPower() (forward DCT), step() as often as they like, and pay the
- * inverse DCT only when a real-space field is actually read
- * (realizeSilicon / realizeSpreader). ThermalGrid tracks the validity
- * flags.
+ * State residency: the solver is the only owner of the thermal state,
+ * and keeps it in mode space. Callers load real-space state with
+ * loadState() or replace it with the steady state of the current power
+ * map (solveSteadyState(), closed form per mode, DESIGN.md §9.7), push
+ * power maps through setPower() (forward DCT), step() as often as they
+ * like, and pay the inverse DCT only when a real-space field is
+ * actually read (realizeSilicon / realizeSpreader). ThermalGrid's
+ * fields are views it publishes from here on demand.
  *
  * Instances are single-threaded (they own DCT scratch); one per grid.
  */
@@ -71,6 +73,16 @@ class SpectralThermalSolver
 
     /** Advance the mode-space state exactly by dt. */
     void step(Seconds dt);
+
+    /**
+     * Replace the state with the steady state of the power map last
+     * given to setPower(): a closed-form 2x2 solve per mode, and
+     * energy balance through the sink for mode 0 (DESIGN.md §9.7).
+     * The result depends on the power map alone, never on the prior
+     * state, and runs no dispatched code, so it is bitwise identical
+     * on every host.
+     */
+    void solveSteadyState();
 
     /** Inverse-DCT the silicon modes into `si` (row-major). */
     void realizeSilicon(std::vector<Celsius> &si);

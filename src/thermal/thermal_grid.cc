@@ -4,12 +4,10 @@
 #include <cmath>
 
 #include "common/checked.hh"
-#include "common/dct.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "thermal/explicit_reference.hh"
-#include "thermal/spectral_solver.hh"
 
 namespace
 {
@@ -25,6 +23,52 @@ constexpr double kMaxSaneTemp = 2000.0;
 namespace boreas
 {
 
+namespace
+{
+
+/** The per-cell RC network of a floorplan discretized by `params`. */
+SpectralNetwork
+buildNetwork(const Floorplan &floorplan, const ThermalParams &params)
+{
+    const Meters cw = floorplan.dieWidth() / params.nx;
+    const Meters ch = floorplan.dieHeight() / params.ny;
+    boreas_assert(std::fabs(cw - ch) / cw < 0.05,
+                  "thermal grid cells should be near-square");
+    const double cell_area = cw * ch;
+
+    SpectralNetwork net;
+    net.nx = params.nx;
+    net.ny = params.ny;
+
+    // Lateral conductance between adjacent square cells of a sheet with
+    // conductivity k and thickness t is G = k * t (the cell length and
+    // width cancel).
+    net.gLatSi = params.siConductivity * params.siThickness;
+    net.gLatSp = params.cuConductivity * params.spreaderThickness;
+
+    // Vertical: silicon half-thickness + TIM + spreader half-thickness
+    // in series, per cell area.
+    const double r_si = 0.5 * params.siThickness /
+        (params.siConductivity * cell_area);
+    const double r_tim = params.timThickness /
+        (params.timConductivity * cell_area);
+    const double r_sp = 0.5 * params.spreaderThickness /
+        (params.cuConductivity * cell_area);
+    net.gVert = 1.0 / (r_si + r_tim + r_sp);
+
+    net.gSinkCell = 1.0 /
+        (params.sinkSpreadResistance * (params.nx * params.ny));
+
+    net.cSi = params.siVolHeatCap * cell_area * params.siThickness;
+    net.cSp = params.cuVolHeatCap * cell_area * params.spreaderThickness;
+    net.sinkCapacitance = params.sinkCapacitance;
+    net.sinkAmbientResistance = params.sinkAmbientResistance;
+    net.ambient = params.ambient;
+    return net;
+}
+
+} // namespace
+
 ThermalGrid::ThermalGrid(const Floorplan &floorplan,
                          const ThermalParams &params)
     : floorplan_(&floorplan), params_(params)
@@ -32,79 +76,25 @@ ThermalGrid::ThermalGrid(const Floorplan &floorplan,
     boreas_assert(params_.nx >= 4 && params_.ny >= 4,
                   "grid too small: %dx%d", params_.nx, params_.ny);
     unitMaps_ = floorplan_->rasterize(params_.nx, params_.ny);
-    computeConstants();
-    reset(params_.ambient);
+    net_ = buildNetwork(*floorplan_, params_);
     pCell_.assign(numCells(), 0.0);
-    steadyDct_ = std::make_unique<Dct2Plan>(params_.nx, params_.ny);
-    steadySi_.assign(numCells(), 0.0);
-    steadySp_.assign(numCells(), 0.0);
-    spectral_ = std::make_unique<SpectralThermalSolver>(spectralNetwork());
+    spectral_ = std::make_unique<SpectralThermalSolver>(net_);
     if (kCheckedBuild && params_.spectralShadowCheck)
-        shadow_ = std::make_unique<ExplicitReference>(spectralNetwork(),
+        shadow_ = std::make_unique<ExplicitReference>(net_,
                                                       params_.dtSafety);
-}
-
-SpectralNetwork
-ThermalGrid::spectralNetwork() const
-{
-    SpectralNetwork net;
-    net.nx = params_.nx;
-    net.ny = params_.ny;
-    net.gLatSi = gLatSi_;
-    net.gLatSp = gLatSp_;
-    net.gVert = gVert_;
-    net.gSinkCell = gSinkCell_;
-    net.cSi = cSi_;
-    net.cSp = cSp_;
-    net.sinkCapacitance = params_.sinkCapacitance;
-    net.sinkAmbientResistance = params_.sinkAmbientResistance;
-    net.ambient = params_.ambient;
-    return net;
+    reset(params_.ambient);
 }
 
 ThermalGrid::~ThermalGrid() = default;
-
-void
-ThermalGrid::computeConstants()
-{
-    const Meters cw = floorplan_->dieWidth() / params_.nx;
-    const Meters ch = floorplan_->dieHeight() / params_.ny;
-    boreas_assert(std::fabs(cw - ch) / cw < 0.05,
-                  "thermal grid cells should be near-square");
-    const double cell_area = cw * ch;
-
-    // Lateral conductance between adjacent square cells of a sheet with
-    // conductivity k and thickness t is G = k * t (the cell length and
-    // width cancel).
-    gLatSi_ = params_.siConductivity * params_.siThickness;
-    gLatSp_ = params_.cuConductivity * params_.spreaderThickness;
-
-    // Vertical: silicon half-thickness + TIM + spreader half-thickness
-    // in series, per cell area.
-    const double r_si = 0.5 * params_.siThickness /
-        (params_.siConductivity * cell_area);
-    const double r_tim = params_.timThickness /
-        (params_.timConductivity * cell_area);
-    const double r_sp = 0.5 * params_.spreaderThickness /
-        (params_.cuConductivity * cell_area);
-    gVert_ = 1.0 / (r_si + r_tim + r_sp);
-
-    gSinkCell_ = 1.0 /
-        (params_.sinkSpreadResistance * numCells());
-
-    cSi_ = params_.siVolHeatCap * cell_area * params_.siThickness;
-    cSp_ = params_.cuVolHeatCap * cell_area * params_.spreaderThickness;
-}
 
 void
 ThermalGrid::reset(Celsius uniform)
 {
     tSi_.assign(numCells(), uniform);
     tSp_.assign(numCells(), uniform);
-    tSink_ = uniform;
     siValid_ = true;
     spValid_ = true;
-    modesValid_ = false;
+    spectral_->loadState(tSi_, tSp_, uniform);
     lastDt_ = 0.0;
 }
 
@@ -139,10 +129,10 @@ void
 ThermalGrid::step(Seconds dt)
 {
     boreas_assert(dt > 0.0, "bad dt");
-    // The pipeline steps one fixed dt between resets — that is the
-    // pattern the spectral solver's per-dt plan cache assumes. A
-    // mid-run change is legal but suspicious; flag it where checks are
-    // on.
+    // The pipeline steps one fixed dt between resets or steady solves
+    // — that is the pattern the spectral solver's per-dt plan cache
+    // assumes. A mid-run change is legal but suspicious; flag it where
+    // checks are on.
     boreas_check(lastDt_ == 0.0 || dt == lastDt_,
                  "thermal dt changed mid-run: %g -> %g", lastDt_, dt);
     lastDt_ = dt;
@@ -150,16 +140,11 @@ ThermalGrid::step(Seconds dt)
     if (shadow_ != nullptr) {
         ensureSiliconCurrent();
         ensureSpreaderCurrent();
-        shadow_->loadState(tSi_, tSp_, tSink_);
+        shadow_->loadState(tSi_, tSp_, spectral_->sinkTemp());
         shadow_->setPower(pCell_);
     }
 
-    if (!modesValid_) {
-        spectral_->loadState(tSi_, tSp_, tSink_);
-        modesValid_ = true;
-    }
     spectral_->step(dt);
-    tSink_ = spectral_->sinkTemp();
     siValid_ = false;
     spValid_ = false;
 
@@ -169,7 +154,8 @@ ThermalGrid::step(Seconds dt)
         ensureSpreaderCurrent();
         const std::vector<Celsius> &ref_si = shadow_->silicon();
         const std::vector<Celsius> &ref_sp = shadow_->spreader();
-        double err = std::fabs(tSink_ - shadow_->sinkTemp());
+        double err = std::fabs(spectral_->sinkTemp() -
+                               shadow_->sinkTemp());
         for (size_t i = 0; i < tSi_.size(); ++i) {
             err = std::max(err, std::fabs(tSi_[i] - ref_si[i]));
             err = std::max(err, std::fabs(tSp_[i] - ref_sp[i]));
@@ -186,8 +172,7 @@ ThermalGrid::step(Seconds dt)
                 "thermal.spectral.shadow_fallback");
             tSi_ = ref_si;
             tSp_ = ref_sp;
-            tSink_ = shadow_->sinkTemp();
-            modesValid_ = false;
+            spectral_->loadState(tSi_, tSp_, shadow_->sinkTemp());
         }
     }
 
@@ -198,7 +183,8 @@ ThermalGrid::step(Seconds dt)
                            kMaxSaneTemp, "silicon temperature");
         checkValuesInRange(tSp_.data(), tSp_.size(), kMinSaneTemp,
                            kMaxSaneTemp, "spreader temperature");
-        checkValuesInRange(&tSink_, 1, kMinSaneTemp, kMaxSaneTemp,
+        const Celsius sink = spectral_->sinkTemp();
+        checkValuesInRange(&sink, 1, kMinSaneTemp, kMaxSaneTemp,
                            "sink temperature");
     }
 }
@@ -226,52 +212,14 @@ ThermalGrid::ensureSpreaderCurrent() const
 void
 ThermalGrid::solveSteadyState()
 {
-    // The DCT-II basis that diagonalizes the transient also
-    // diagonalizes the steady state (DESIGN.md §9.7): every mode is a
-    // closed-form 2x2 solve, and mode 0 is plain energy balance. The
-    // result depends on pCell_ alone, never on the prior state, and
-    // runs no dispatched code, so it is bitwise identical for every
-    // thread count and host.
-    const int nx = params_.nx;
-    const int ny = params_.ny;
-    std::vector<double> lam_y(ny);
-    for (int ky = 0; ky < ny; ++ky)
-        lam_y[ky] = Dct2Plan::laplacianEigenvalue(ky, ny);
-
-    double *zsi = steadySi_.data();
-    double *zsp = steadySp_.data();
-    steadyDct_->forward(pCell_.data(), zsi);
-
-    // Modes m != 0:  (gsi, -gv; -gv, gsp) (zsi, zsp) = (phat, 0).
-    const double gv = gVert_;
-    for (int kx = 0; kx < nx; ++kx) {
-        const double lam_x = Dct2Plan::laplacianEigenvalue(kx, nx);
-        for (int ky = 0; ky < ny; ++ky) {
-            const int m = kx * ny + ky;
-            if (m == 0)
-                continue;
-            const double lam = lam_x + lam_y[ky];
-            const double gsi = gLatSi_ * lam + gv;
-            const double gsp = gLatSp_ * lam + gv + gSinkCell_;
-            const double z = zsi[m] * gsp / (gsi * gsp - gv * gv);
-            zsi[m] = z;
-            zsp[m] = gv * z / gsp;
-        }
-    }
-
-    // Mode 0 (the field sums): all power P leaves through the sink, so
-    // the sink sits P Ra above ambient and each layer's sum sits one
-    // series drop above the next.
-    const double p = zsi[0];
-    tSink_ = params_.ambient + p * params_.sinkAmbientResistance;
-    zsp[0] = numCells() * tSink_ + p / gSinkCell_;
-    zsi[0] = zsp[0] + p / gv;
-
-    steadyDct_->inverse(zsi, tSi_.data());
-    steadyDct_->inverse(zsp, tSp_.data());
+    spectral_->solveSteadyState();
+    spectral_->realizeSilicon(tSi_);
+    spectral_->realizeSpreader(tSp_);
+    // Pinned runs start from the round-tripped modes (DESIGN.md §9.7).
+    spectral_->loadState(tSi_, tSp_, spectral_->sinkTemp());
     siValid_ = true;
     spValid_ = true;
-    modesValid_ = false;
+    lastDt_ = 0.0;
 
     if constexpr (kCheckedBuild) {
         checkValuesInRange(tSi_.data(), tSi_.size(), kMinSaneTemp,

@@ -27,8 +27,11 @@
  * (thermal/explicit_reference.hh): in checked builds every step is
  * shadow-run through it and must agree within spectralShadowTolerance.
  *
- * A closed-form steady-state solve in the same DCT basis (one forward
- * and two inverse transforms) provides warm-start initial conditions.
+ * The spectral solver owns the thermal state, in mode space, together
+ * with the sink temperature; the grid's silicon and spreader fields are
+ * views it publishes on first read after a step. Warm starts use the
+ * solver's closed-form steady state in the same DCT basis (DESIGN.md
+ * §9.7), published and re-ingested once.
  */
 
 #pragma once
@@ -38,14 +41,12 @@
 
 #include "common/types.hh"
 #include "floorplan/floorplan.hh"
+#include "thermal/spectral_solver.hh"
 
 namespace boreas
 {
 
-class Dct2Plan;
 class ExplicitReference;
-class SpectralThermalSolver;
-struct SpectralNetwork;
 
 /**
  * Legacy integrator selector with one value; nothing reads it. It
@@ -128,10 +129,9 @@ class ThermalGrid
     /**
      * The grid's lumped network constants, for benches and tests that
      * drive a raw SpectralThermalSolver or an ExplicitReference side by
-     * side with this grid (callers include thermal/spectral_solver.hh
-     * for the definition).
+     * side with this grid.
      */
-    SpectralNetwork spectralNetwork() const;
+    const SpectralNetwork &spectralNetwork() const { return net_; }
 
     /**
      * Set the power map for the next integration interval from per-unit
@@ -154,15 +154,20 @@ class ThermalGrid
     void step(Seconds dt);
 
     /**
-     * Solve the steady state for the current power map exactly and load
-     * it as the present thermal state. Used for warm-start initial
-     * conditions. Closed form per DCT mode (DESIGN.md §9.7): the result
-     * depends only on the power map, never on the prior state, and is
-     * bitwise reproducible across hosts.
+     * Replace the whole thermal state with the exact steady state of
+     * the current power map (SpectralThermalSolver::solveSteadyState,
+     * DESIGN.md §9.7), publish both fields and re-ingest them, and
+     * start a new run for the dt check. Used for warm-start initial
+     * conditions; no reset() is needed first. The result depends only
+     * on the power map, never on the prior state, and is bitwise
+     * reproducible across hosts.
      */
     void solveSteadyState();
 
-    /** Reset all nodes to a uniform temperature. */
+    /**
+     * Load every node at a uniform temperature into the solver (two
+     * forward transforms) and start a new run for the dt check.
+     */
     void reset(Celsius uniform);
 
     /** Silicon-layer temperatures, row-major (y * nx + x). */
@@ -193,7 +198,7 @@ class ThermalGrid
     const std::vector<Celsius> &unitTemps() const;
 
     /** Heatsink node temperature. */
-    Celsius sinkTemp() const { return tSink_; }
+    Celsius sinkTemp() const { return spectral_->sinkTemp(); }
 
     /** Total power currently injected, watts (diagnostics). */
     Watts totalPower() const;
@@ -205,49 +210,33 @@ class ThermalGrid
     int cellAt(const Point &p) const;
 
   private:
-    void computeConstants();
-
     /** Inverse-DCT the spectral state on demand (lazy publication). */
     void ensureSiliconCurrent() const;
     void ensureSpreaderCurrent() const;
 
     const Floorplan *floorplan_;
     ThermalParams params_;
+    SpectralNetwork net_;
 
     std::vector<UnitCellMap> unitMaps_;
 
-    // State. The temperature fields are mutable because the spectral
-    // solver keeps its state in mode space and materializes these
-    // buffers lazily inside const accessors.
+    // Real-space views of the solver's mode-space state, published
+    // lazily inside const accessors (hence mutable).
     mutable std::vector<Celsius> tSi_;
     mutable std::vector<Celsius> tSp_;
-    Celsius tSink_;
 
     // Power injected per silicon cell, watts.
     std::vector<Watts> pCell_;
 
-    // Precomputed network constants.
-    double gLatSi_ = 0.0;   ///< silicon lateral conductance, W/K
-    double gVert_ = 0.0;    ///< silicon->spreader (TIM) per cell
-    double gLatSp_ = 0.0;   ///< spreader lateral conductance
-    double gSinkCell_ = 0.0;///< spreader cell -> sink
-    double cSi_ = 0.0;      ///< silicon cell capacitance, J/K
-    double cSp_ = 0.0;      ///< spreader cell capacitance
-
-    /** dt of the last step() since reset(); 0 = none yet. */
+    /** dt of the last step() since reset() or solveSteadyState(); 0 =
+     *  none yet. */
     Seconds lastDt_ = 0.0;
 
+    /** Owner of the thermal state (modes and sink). */
     std::unique_ptr<SpectralThermalSolver> spectral_;
-    bool modesValid_ = false;       ///< spectral mode state current?
     mutable bool siValid_ = true;   ///< tSi_ current?
     mutable bool spValid_ = true;   ///< tSp_ current?
     bool warnedShadowFallback_ = false;
-
-    // Transform and mode-coefficient scratch for the closed-form
-    // steady-state solve.
-    std::unique_ptr<Dct2Plan> steadyDct_;
-    std::vector<double> steadySi_;
-    std::vector<double> steadySp_;
 
     /** Checked-build shadow integrator; null when the check is off. */
     std::unique_ptr<ExplicitReference> shadow_;

@@ -92,29 +92,6 @@ TEST(ThreadPool, NestedParallelForDegradesToSerial)
     EXPECT_EQ(nested_escapes.load(), 0);
 }
 
-TEST(TaskGroup, RunsEveryTaskAndWaits)
-{
-    ThreadPool pool(4);
-    TaskGroup group(pool);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 32; ++i)
-        group.run([&count] { count.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(count.load(), 32);
-}
-
-TEST(TaskGroup, PropagatesFirstException)
-{
-    ThreadPool pool(4);
-    TaskGroup group(pool);
-    group.run([] { throw std::logic_error("task failed"); });
-    group.run([] {});
-    EXPECT_THROW(group.wait(), std::logic_error);
-    // After the throw the group is drained and reusable.
-    group.run([] {});
-    EXPECT_NO_THROW(group.wait());
-}
-
 TEST(ThreadPool, DefaultThreadsHonorsEnvOverride)
 {
     // Only checks the parsing contract when the variable is set by the

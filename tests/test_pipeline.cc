@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "control/boreas_controller.hh"
 #include "control/static_controllers.hh"
 #include "control/thermal_controller.hh"
 #include "test_util.hh"
@@ -14,6 +15,7 @@
 using namespace boreas;
 using boreas::test::fastPipelineConfig;
 using boreas::test::program;
+using boreas::test::tinyTrainerConfig;
 
 TEST(Pipeline, RunProducesRequestedSteps)
 {
@@ -190,14 +192,23 @@ TEST(PipelineDeathTest, StepBeforeStartPanics)
 namespace
 {
 
+/** How a golden run picks its frequency. */
+enum class GoldenControl
+{
+    Constant, ///< 4.25 GHz throughout
+    TH00,     ///< ThermalThresholdController closed loop
+    ML05,     ///< BoreasController trained by the tiny recipe
+};
+
 /** One row of the end-to-end golden matrix. */
 struct GoldenRun
 {
     const char *source; ///< registry spec; "trace" is the fixture
-    bool thController;  ///< TH-00 closed loop, else constant 4.25 GHz
+    GoldenControl control;
     int grid;           ///< nx = ny
     uint64_t runHash;
     uint64_t lastStateHash;
+    bool warmStart = true;
 };
 
 /** The committed boreas-trace-v1 fixture (tests/data/). */
@@ -227,31 +238,39 @@ TEST(Pipeline, GoldenRunHashes)
     // runHash, so any behaviour change (or a change of the state
     // hasher itself) shows up here as a moved golden. Values hold for
     // x86-64 GCC + glibc (the core and power models call libm).
+    using enum GoldenControl;
     const GoldenRun cases[] = {
-        {"gamess", false, 64, 0xd64c69235d10a2db, 0x75b9e9c9cb66f173},
-        {"gamess", true, 64, 0x2ddd345a38b76c13, 0xa0ee869ff16051fc},
-        {"gamess", false, 32, 0x6a8f566bb4b0ec00, 0x1132f2058644c487},
-        {"gamess", true, 32, 0x4fb07a3e7a85699c, 0x6c736d6087e984a8},
-        {"mix:mcf+cg.B@stagger=0.8e-3", false, 64,
+        {"gamess", Constant, 64, 0xd64c69235d10a2db, 0x75b9e9c9cb66f173},
+        {"gamess", TH00, 64, 0x2ddd345a38b76c13, 0xa0ee869ff16051fc},
+        {"gamess", Constant, 32, 0x6a8f566bb4b0ec00, 0x1132f2058644c487},
+        {"gamess", TH00, 32, 0x4fb07a3e7a85699c, 0x6c736d6087e984a8},
+        {"mix:mcf+cg.B@stagger=0.8e-3", Constant, 64,
          0xb2799ca80fd202b7, 0xdcd8a7f07ea88dd4},
-        {"mix:mcf+cg.B@stagger=0.8e-3", true, 64,
+        {"mix:mcf+cg.B@stagger=0.8e-3", TH00, 64,
          0x102df95c025c7b59, 0xc14808ec97e0b9fe},
-        {"mix:mcf+cg.B@stagger=0.8e-3", false, 32,
+        {"mix:mcf+cg.B@stagger=0.8e-3", Constant, 32,
          0x4225adf7793d1d20, 0x68097f73f5a2d7c3},
-        {"mix:mcf+cg.B@stagger=0.8e-3", true, 32,
+        {"mix:mcf+cg.B@stagger=0.8e-3", TH00, 32,
          0x8f9b014621105293, 0x30dfaeac118c8b2a},
-        {"adversarial:corehop", false, 64,
+        {"adversarial:corehop", Constant, 64,
          0xd9cb06f2481d4248, 0x4959faecf25ab89e},
-        {"adversarial:corehop", true, 64,
+        {"adversarial:corehop", TH00, 64,
          0x5c817891706d65e1, 0x4c9275b7f467efe1},
-        {"adversarial:corehop", false, 32,
+        {"adversarial:corehop", Constant, 32,
          0xd5d6b2c2f3415f65, 0x8e7fdbeace24ef20},
-        {"adversarial:corehop", true, 32,
+        {"adversarial:corehop", TH00, 32,
          0x0a868b49182d3a5d, 0x063c450c4ab53a96},
-        {"trace", false, 64, 0x741cebfd420bcf37, 0xffa0dacaca3a257f},
-        {"trace", true, 64, 0xfd3f6c8790bfde61, 0x33f88f5c1c199a77},
-        {"trace", false, 32, 0x17098dbe24694f90, 0xf5055c3a6a297ff0},
-        {"trace", true, 32, 0x05f35e796f6a7a65, 0xb36b51319b0181bf},
+        {"trace", Constant, 64, 0x741cebfd420bcf37, 0xffa0dacaca3a257f},
+        {"trace", TH00, 64, 0xfd3f6c8790bfde61, 0x33f88f5c1c199a77},
+        {"trace", Constant, 32, 0x17098dbe24694f90, 0xf5055c3a6a297ff0},
+        {"trace", TH00, 32, 0x05f35e796f6a7a65, 0xb36b51319b0181bf},
+        // Trained Boreas, and cold starts on the Lee (64) and dense
+        // fallback (24) DCT paths.
+        {"gamess", ML05, 64, 0xf17cf9ab6f08f842, 0x2a528c2f4f6229fc},
+        {"gamess", Constant, 64, 0xa56c99e8de1c27e1, 0xba29734bf7cc4a02,
+         false},
+        {"gamess", Constant, 24, 0x1a7d70797e49a13b, 0x7f8aa79a927e45be,
+         false},
     };
     constexpr uint64_t kSeed = 7;
     constexpr GHz kFreq = 4.25;
@@ -271,15 +290,36 @@ TEST(Pipeline, GoldenRunHashes)
         // exceeds; the goldens pin the spectral path in every build.
         cfg.thermal.spectralShadowTolerance =
             std::numeric_limits<double>::infinity();
+        cfg.warmStart = c.warmStart;
         SimulationPipeline p(cfg);
         auto source = makeWorkloadSource(goldenSpec(c.source));
-        const RunResult run = c.thController
-            ? p.runWithController(*source, kSeed, th, kFreq, kTraceSteps)
-            : p.runConstantFrequency(*source, kSeed, kFreq, kTraceSteps);
+        std::string name = std::string(c.source) + " " +
+            std::to_string(c.grid) + "x" + std::to_string(c.grid) +
+            (c.warmStart ? "" : " cold");
+        RunResult run;
+        if (c.control == ML05) {
+            // Trained on this pipeline, so the dataset build is pinned
+            // along with the model and the closed loop.
+            const SourceSet train = wrapSpecs(
+                {&findWorkload("povray"), &findWorkload("mcf")});
+            const TrainedBoreas trained =
+                trainBoreas(p, train.sources, tinyTrainerConfig());
+            BoreasController ml05("ML05", &trained.model,
+                                  trained.featureNames, 0.05,
+                                  kBestSensorIndex);
+            run = p.runWithController(*source, kSeed, ml05, kFreq,
+                                      kTraceSteps);
+            name += " ML05";
+        } else if (c.control == TH00) {
+            run = p.runWithController(*source, kSeed, th, kFreq,
+                                      kTraceSteps);
+            name += " TH-00";
+        } else {
+            run = p.runConstantFrequency(*source, kSeed, kFreq,
+                                         kTraceSteps);
+            name += " 4.25 GHz";
+        }
         ASSERT_EQ(run.steps.size(), static_cast<size_t>(kTraceSteps));
-        const std::string name = std::string(c.source) +
-            (c.thController ? " TH-00 " : " 4.25 GHz ") +
-            std::to_string(c.grid) + "x" + std::to_string(c.grid);
         EXPECT_EQ(hex(p.runHash()), hex(c.runHash)) << name;
         EXPECT_EQ(hex(run.steps.back().stateHash), hex(c.lastStateHash))
             << name;

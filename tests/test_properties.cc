@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "boreas/dataset_builder.hh"
 #include "common/rng.hh"
@@ -13,6 +15,7 @@
 #include "power/vf_table.hh"
 #include "test_util.hh"
 #include "thermal/explicit_reference.hh"
+#include "thermal/spectral_solver.hh"
 #include "workload/spec2006.hh"
 
 using namespace boreas;
@@ -158,42 +161,112 @@ TEST(ThermalProperties, SteadyStateIsAFixedPointOfTheTransient)
         EXPECT_NEAR(before[i], after[i], 0.02);
 }
 
+/**
+ * The closed-form steady state of a fixed power map, on the grid the
+ * parameter names: 64x64 runs the fast power-of-two transform, 24x24
+ * the dense-DCT fallback.
+ */
 class SteadyStateFixedPoint : public ::testing::TestWithParam<int>
 {
+  protected:
+    SteadyStateFixedPoint()
+    {
+        params.nx = GetParam();
+        params.ny = GetParam();
+        grid = std::make_unique<ThermalGrid>(fp, params);
+        std::vector<Watts> power(fp.numUnits(), 0.5);
+        power[fp.findUnit(UnitKind::IntALU, 0)] = 4.0;
+        power[fp.findUnit(UnitKind::FPU, 1)] = 3.0;
+        grid->setUnitPower(power);
+    }
+
+    /** Largest change of any node between two states. */
+    static double
+    maxMove(const std::vector<Celsius> &si, const std::vector<Celsius> &sp,
+            Celsius sink, const std::vector<Celsius> &si_after,
+            const std::vector<Celsius> &sp_after, Celsius sink_after)
+    {
+        double max_move = std::fabs(sink_after - sink);
+        for (size_t i = 0; i < si.size(); ++i) {
+            max_move = std::max(max_move, std::fabs(si_after[i] - si[i]));
+            max_move = std::max(max_move, std::fabs(sp_after[i] - sp[i]));
+        }
+        return max_move;
+    }
+
+    const Floorplan fp = buildSkylakeFloorplan();
+    ThermalParams params;
+    std::unique_ptr<ThermalGrid> grid;
 };
 
 TEST_P(SteadyStateFixedPoint, OneExplicitStepMovesNoNode)
 {
     // The closed-form solve is exact, so one 80 us step of the
     // forward-Euler reference from it moves no node beyond roundoff.
-    // 64x64 runs the fast power-of-two transform, 24x24 the dense-DCT
-    // fallback.
-    const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams params;
-    params.nx = GetParam();
-    params.ny = GetParam();
-    ThermalGrid grid(fp, params);
-    std::vector<Watts> power(fp.numUnits(), 0.5);
-    power[fp.findUnit(UnitKind::IntALU, 0)] = 4.0;
-    power[fp.findUnit(UnitKind::FPU, 1)] = 3.0;
-    grid.setUnitPower(power);
-    grid.solveSteadyState();
-    const std::vector<Celsius> si = grid.siliconTemps();
-    const std::vector<Celsius> sp = grid.spreaderTemps();
-    const Celsius sink = grid.sinkTemp();
+    grid->solveSteadyState();
+    const std::vector<Celsius> si = grid->siliconTemps();
+    const std::vector<Celsius> sp = grid->spreaderTemps();
+    const Celsius sink = grid->sinkTemp();
 
-    ExplicitReference ref(grid.spectralNetwork(), params.dtSafety);
+    ExplicitReference ref(grid->spectralNetwork(), params.dtSafety);
     ref.loadState(si, sp, sink);
-    ref.setPower(grid.cellPower());
+    ref.setPower(grid->cellPower());
     ref.step(80e-6);
-    const auto &si_after = ref.silicon();
-    const auto &sp_after = ref.spreader();
-    double max_move = std::fabs(ref.sinkTemp() - sink);
-    for (size_t i = 0; i < si.size(); ++i) {
-        max_move = std::max(max_move, std::fabs(si_after[i] - si[i]));
-        max_move = std::max(max_move, std::fabs(sp_after[i] - sp[i]));
+    EXPECT_LT(maxMove(si, sp, sink, ref.silicon(), ref.spreader(),
+                      ref.sinkTemp()),
+              1e-9);
+}
+
+TEST_P(SteadyStateFixedPoint, OneSpectralStepMovesNoNode)
+{
+    // The same bound for the solver's own solve, straight from its
+    // power modes, followed by one exact step at the same power.
+    SpectralThermalSolver solver(grid->spectralNetwork());
+    solver.setPower(grid->cellPower());
+    solver.solveSteadyState();
+    std::vector<Celsius> si;
+    std::vector<Celsius> sp;
+    solver.realizeSilicon(si);
+    solver.realizeSpreader(sp);
+    const Celsius sink = solver.sinkTemp();
+
+    solver.step(80e-6);
+    std::vector<Celsius> si_after;
+    std::vector<Celsius> sp_after;
+    solver.realizeSilicon(si_after);
+    solver.realizeSpreader(sp_after);
+    EXPECT_LT(maxMove(si, sp, sink, si_after, sp_after, solver.sinkTemp()),
+              1e-9);
+}
+
+TEST_P(SteadyStateFixedPoint, SpectralSolveIgnoresPriorState)
+{
+    // The solve replaces every mode and the sink: two solvers loaded
+    // with different random states publish the same bits.
+    const int n = params.nx * params.ny;
+    std::vector<Celsius> si[2];
+    std::vector<Celsius> sp[2];
+    Celsius sink[2] = {};
+    for (int k = 0; k < 2; ++k) {
+        Rng rng(1234 + k);
+        std::vector<Celsius> si0(n);
+        std::vector<Celsius> sp0(n);
+        for (int i = 0; i < n; ++i) {
+            si0[i] = rng.uniform(20.0, 120.0);
+            sp0[i] = rng.uniform(20.0, 120.0);
+        }
+        SpectralThermalSolver solver(grid->spectralNetwork());
+        solver.loadState(si0, sp0, rng.uniform(20.0, 120.0));
+        solver.setPower(grid->cellPower());
+        solver.solveSteadyState();
+        solver.realizeSilicon(si[k]);
+        solver.realizeSpreader(sp[k]);
+        sink[k] = solver.sinkTemp();
     }
-    EXPECT_LT(max_move, 1e-9);
+    const size_t bytes = n * sizeof(Celsius);
+    EXPECT_EQ(std::memcmp(si[0].data(), si[1].data(), bytes), 0);
+    EXPECT_EQ(std::memcmp(sp[0].data(), sp[1].data(), bytes), 0);
+    EXPECT_EQ(std::memcmp(&sink[0], &sink[1], sizeof(Celsius)), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(GridSizes, SteadyStateFixedPoint,
