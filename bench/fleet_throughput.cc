@@ -208,7 +208,11 @@ main(int argc, char **argv)
                    : 0.0;
 
     // Per-stage split of the timed run (pipeline stage timers plus
-    // the fleet barrier), from the sharded metrics histograms.
+    // the fleet barrier), from the sharded metrics histograms. Stage
+    // timers are inclusive: stage.thermal contains the ingest, the step
+    // and the publish of the silicon field, so its nested
+    // stage.thermal.ingest / .publish rows count twice in the shares;
+    // stage.power and stage.sensors contain no thermal work.
     const obs::MetricsSnapshot snap =
         obs::MetricsRegistry::global().snapshot();
     double stage_total_us = 0.0;

@@ -4,11 +4,11 @@
  * Sec. V-E overhead discussion: one GBT prediction (reference walk and
  * flat engine), one controller decision, one thermal step, one
  * MLTD/severity evaluation, and one full pipeline telemetry step —
- * plus the spectral solver's per-step cost: one 64x64 forward and
- * inverse DCT, the mode sweep alone, and one ingest -> step -> publish
- * cycle — the per-step state hash through byte-wise FNV-1a and
- * through the eight-lane StateHasher, and one warm-start steady-state
- * solve.
+ * plus the spectral solver's per-step cost: one forward and inverse
+ * DCT at 32x32, 64x64 and 128x128, the 64x64 ingest alone, the mode
+ * sweep alone, and one ingest -> step -> publish cycle — the per-step
+ * state hash through byte-wise FNV-1a and through the eight-lane
+ * StateHasher, and one warm-start steady-state solve.
  *
  * Every benchmark runs kRepetitions times so the capturing reporter
  * can surface tail latency: the artifact's "latency" series carries
@@ -142,23 +142,23 @@ BM_ThermalStep80us(benchmark::State &bm)
 }
 BENCHMARK(BM_ThermalStep80us)->Apply(microBench);
 
-/** A 64x64 field of plausible die temperatures for the DCT rows. */
+/** An n x n field of plausible die temperatures for the DCT rows. */
 static std::vector<double>
-dctField()
+dctField(int n)
 {
-    Rng rng(64);
-    std::vector<double> field(64 * 64);
+    Rng rng(n);
+    std::vector<double> field(static_cast<size_t>(n) * n);
     for (double &v : field)
         v = rng.uniform(40.0, 110.0);
     return field;
 }
 
-/** forward() on the default grid. */
+/** forward() on an n x n grid. */
 static void
-BM_DctForward64(benchmark::State &bm)
+dctForward(benchmark::State &bm, int n)
 {
-    Dct2Plan plan(64, 64);
-    const std::vector<double> field = dctField();
+    Dct2Plan plan(n, n);
+    const std::vector<double> field = dctField(n);
     std::vector<double> modes(field.size());
     for (auto _ : bm) {
         plan.forward(field.data(), modes.data());
@@ -166,14 +166,13 @@ BM_DctForward64(benchmark::State &bm)
         benchmark::ClobberMemory();
     }
 }
-BENCHMARK(BM_DctForward64)->Apply(microBench);
 
-/** inverse() on the default grid. */
+/** inverse() on an n x n grid. */
 static void
-BM_DctInverse64(benchmark::State &bm)
+dctInverse(benchmark::State &bm, int n)
 {
-    Dct2Plan plan(64, 64);
-    const std::vector<double> field = dctField();
+    Dct2Plan plan(n, n);
+    const std::vector<double> field = dctField(n);
     std::vector<double> modes(field.size());
     plan.forward(field.data(), modes.data());
     std::vector<double> out(field.size());
@@ -183,7 +182,44 @@ BM_DctInverse64(benchmark::State &bm)
         benchmark::ClobberMemory();
     }
 }
+
+// The 64x64 rows are the default grid; 32 and 128 bracket it with the
+// other Lee sweep plans (DESIGN.md §9.4).
+static void BM_DctForward32(benchmark::State &bm) { dctForward(bm, 32); }
+static void BM_DctForward64(benchmark::State &bm) { dctForward(bm, 64); }
+static void BM_DctForward128(benchmark::State &bm) { dctForward(bm, 128); }
+static void BM_DctInverse32(benchmark::State &bm) { dctInverse(bm, 32); }
+static void BM_DctInverse64(benchmark::State &bm) { dctInverse(bm, 64); }
+static void BM_DctInverse128(benchmark::State &bm) { dctInverse(bm, 128); }
+BENCHMARK(BM_DctForward32)->Apply(microBench);
+BENCHMARK(BM_DctForward64)->Apply(microBench);
+BENCHMARK(BM_DctForward128)->Apply(microBench);
+BENCHMARK(BM_DctInverse32)->Apply(microBench);
 BENCHMARK(BM_DctInverse64)->Apply(microBench);
+BENCHMARK(BM_DctInverse128)->Apply(microBench);
+
+/**
+ * setUnitPower alone on the default grid: the unit -> cell map and the
+ * forward transform of the power map, alternating two power vectors
+ * as the pipeline's changing unit power does.
+ */
+static void
+BM_ThermalIngest(benchmark::State &bm)
+{
+    const Floorplan fp = buildSkylakeFloorplan();
+    ThermalGrid grid(fp, ThermalParams{});
+    Rng rng(81);
+    std::vector<Watts> power[2];
+    for (auto &p : power) {
+        p.resize(fp.numUnits());
+        for (Watts &w : p)
+            w = rng.uniform(0.5, 5.0);
+    }
+    size_t i = 0;
+    for (auto _ : bm)
+        grid.setUnitPower(power[++i % 2]);
+}
+BENCHMARK(BM_ThermalIngest)->Apply(microBench);
 
 /**
  * The spectral mode sweep alone: one 80 us step of a raw solver on the

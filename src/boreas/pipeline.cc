@@ -207,6 +207,7 @@ SimulationPipeline::step(GHz freq)
         rec.coreCounters = core_counters;
 
     const std::vector<Celsius> &unit_temps = grid_.unitTemps();
+    std::vector<Watts> unit_power;
     {
         obs::ScopedTimer timer("stage.power");
         std::vector<const CounterSet *> ptrs(ncores, nullptr);
@@ -214,15 +215,18 @@ SimulationPipeline::step(GHz freq)
             if (stimuli[c].active)
                 ptrs[c] = &core_counters[c];
         }
-        const std::vector<Watts> unit_power = power_.unitPowerMulti(
+        unit_power = power_.unitPowerMulti(
             ptrs, residuals, freq, volts, unit_temps, config_.stepLength);
         rec.totalPower = PowerModel::totalPower(unit_power);
-        grid_.setUnitPower(unit_power);
     }
 
+    // Ingest, step and publish: the sensors and severity below read the
+    // published field, so every thermal transform is timed here.
     {
         obs::ScopedTimer timer("stage.thermal");
+        grid_.setUnitPower(unit_power);
         grid_.step(config_.stepLength);
+        grid_.siliconTemps();
     }
 
     {

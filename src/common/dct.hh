@@ -23,21 +23,27 @@
  * inverse(forward(f)) == f up to roundoff.
  *
  * Power-of-two axis lengths use Lee's O(n log n) split recursion,
- * flattened into iterative level sweeps over strips of 8 adjacent
- * batch columns (one 512-bit vector per position): each strip runs its
- * whole sweep sequence in two L1-resident scratch arrays, and the
- * transpose between the two axis passes is folded into the first
- * pass's final store. Other lengths fall back to a dense cosine matrix
- * multiply over the same strips. The two entry points are dispatched
- * to AVX-512 / AVX2 / baseline clones that all produce the same bits
- * (DESIGN.md §9.4, §9.6). Instances carry scratch buffers and are NOT
- * thread-safe; give each thread (each ThermalGrid) its own plan.
+ * flattened into level sweeps over strips of 8 adjacent batch columns
+ * (one 512-bit vector per position). Each axis has a sweep plan: the
+ * outer levels two per sweep around one in-register block of the
+ * innermost ones, so a 64-point pass stores each strip three times.
+ * The first sweep reads the caller's array, the ones between
+ * ping-pong in two L1-resident scratch arrays, and the last writes the
+ * caller's store; the transpose between the two axis passes is folded
+ * into the first pass's store. Other lengths fall back to a dense
+ * cosine matrix multiply over the same strips. The two entry points
+ * are dispatched to AVX-512 / AVX2 / baseline clones that all produce
+ * the same bits (DESIGN.md §9.4, §9.6). Instances carry scratch
+ * buffers and are NOT thread-safe; give each thread (each ThermalGrid)
+ * its own plan.
  */
 
 #pragma once
 
 #include <cstddef>
 #include <vector>
+
+#include "common/simd.hh"
 
 namespace boreas
 {
@@ -88,6 +94,30 @@ class Dct2Plan
         double lane[kStripLanes];
     };
 
+    /**
+     * One strip sweep of a Lee plan: one level or two fused levels
+     * (named by the longer), or a register block of the innermost
+     * levels (the DCT-II or DCT-III one, by direction).
+     */
+    struct Sweep
+    {
+        enum class Op : unsigned char
+        {
+            Split,
+            SplitPair,
+            Recombine,
+            RecombinePair,
+            Deinterleave,
+            DeinterleavePair,
+            Butterfly,
+            ButterflyPair,
+            Block8,
+            Block16,
+        };
+        Op op;
+        int len;
+    };
+
     /** Per-axis transform data (Lee tables or dense fallback). */
     struct Axis
     {
@@ -100,6 +130,9 @@ class Dct2Plan
         std::vector<StripSlot> halfSec;
         /** Offset of each level's table in halfSec (len = n >> level). */
         std::vector<size_t> levelOff;
+        /** Lee sweep sequences, first sweep to last. */
+        std::vector<Sweep> forwardPlan;
+        std::vector<Sweep> inversePlan;
         /** Dense fallback, forward: [k*n + i] = cos(pi k (2i+1)/(2n)). */
         std::vector<double> fwdMat;
         /** Dense fallback, inverse: [i*n + k]; k = 0 column pre-halved. */
@@ -110,22 +143,21 @@ class Dct2Plan
 
     /**
      * Transform along `ax` every column of a [ax.n x batch] input, one
-     * strip of kStripLanes columns at a time. `load(v, k, c0, lanes)`
-     * fills strip *v with position k of the strip starting at column
-     * c0 (lanes beyond `lanes` zero-padded); the strip is transformed
-     * in the two scratch arrays (DCT-II, or with `Inverse` the
-     * unscaled DCT-III, position 0 pre-halved when `halve_first`); and
-     * `store(k, c0, lanes, v)` receives each output position.
+     * strip of kStripLanes columns at a time. Position k of the strip
+     * starting at column c0 is read at src + k*stride + c0 (lanes past
+     * `batch` zero-padded); the strip is transformed (DCT-II, or with
+     * `Inverse` the unscaled DCT-III with position 0 halved on load),
+     * and `store(k, c0, lanes, v)` receives each output position.
      */
-    template <bool Inverse, typename Load, typename Store>
-    void strips(const Axis &ax, int batch, bool halve_first,
-                const Load &load, const Store &store);
+    template <bool Inverse, typename Store>
+    void strips(const Axis &ax, int batch, const double *src,
+                size_t stride, const Store &store);
 
     int nx_;
     int ny_;
     Axis ax_;
     Axis ay_;
-    std::vector<double> fieldScratch_; ///< between-pass result buffer
+    StripVector<double> fieldScratch_; ///< between-pass result buffer
     std::vector<StripSlot> stripScratch_; ///< 2 x max(nx, ny) strips
 };
 

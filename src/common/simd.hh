@@ -24,7 +24,10 @@
 #define BOREAS_TARGET_CLONES(...)
 #endif
 
+#include <cstddef>
 #include <cstring>
+#include <new>
+#include <vector>
 
 namespace boreas
 {
@@ -71,5 +74,41 @@ put(double *p, const Strip &v, int lanes = kLanes)
             p[l] = v[l];
     }
 }
+
+/**
+ * Allocator that starts every block on a strip (64-byte) boundary, so
+ * the whole-strip stores of a kernel that writes the block from its
+ * start never split a cache line.
+ */
+template <typename T>
+struct StripAllocator
+{
+    using value_type = T;
+
+    StripAllocator() = default;
+    template <typename U>
+    StripAllocator(const StripAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(
+            ::operator new(n * sizeof(T), std::align_val_t(sizeof(Strip))));
+    }
+
+    void
+    deallocate(T *p, size_t)
+    {
+        ::operator delete(p, std::align_val_t(sizeof(Strip)));
+    }
+
+    bool operator==(const StripAllocator &) const { return true; }
+};
+
+/** A vector whose data starts on a strip boundary. */
+template <typename T>
+using StripVector = std::vector<T, StripAllocator<T>>;
 
 } // namespace boreas

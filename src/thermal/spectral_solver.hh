@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/dct.hh"
+#include "common/simd.hh"
 #include "common/types.hh"
 
 namespace boreas
@@ -110,10 +111,11 @@ class SpectralThermalSolver
 
     // Mode-space state and drive, all double. Mode 0 (the field sums)
     // rides through the sweep unchanged and is advanced in place by
-    // the 3x3 sink-coupled update.
-    std::vector<double> zSi_;
-    std::vector<double> zSp_;
-    std::vector<double> phat_;
+    // the 3x3 sink-coupled update. Strip-aligned: the sweep and the
+    // forward transform store them whole strips at a time.
+    StripVector<double> zSi_;
+    StripVector<double> zSp_;
+    StripVector<double> phat_;
     Celsius tSink_ = 0.0;
 
     // Cached per-dt exponential coefficients, SoA over modes != 0:

@@ -76,6 +76,26 @@ ThermalGrid::ThermalGrid(const Floorplan &floorplan,
     boreas_assert(params_.nx >= 4 && params_.ny >= 4,
                   "grid too small: %dx%d", params_.nx, params_.ny);
     unitMaps_ = floorplan_->rasterize(params_.nx, params_.ny);
+    // setUnitPower's share table: each cell's shares in unit order.
+    std::vector<std::vector<CellShare>> by_cell(numCells());
+    for (size_t u = 0; u < unitMaps_.size(); ++u) {
+        const UnitCellMap &map = unitMaps_[u];
+        for (size_t k = 0; k < map.cells.size(); ++k) {
+            by_cell[map.cells[k]].push_back(
+                {map.cells[k], static_cast<int>(u), map.fractions[k]});
+        }
+    }
+    for (const std::vector<CellShare> &shares : by_cell) {
+        if (!shares.empty())
+            cellShares_.push_back(shares[0]);
+    }
+    firstShares_ = cellShares_.size();
+    for (const std::vector<CellShare> &shares : by_cell) {
+        if (shares.size() > 1) {
+            cellShares_.insert(cellShares_.end(), shares.begin() + 1,
+                               shares.end());
+        }
+    }
     net_ = buildNetwork(*floorplan_, params_);
     pCell_.assign(numCells(), 0.0);
     spectral_ = std::make_unique<SpectralThermalSolver>(net_);
@@ -111,15 +131,20 @@ ThermalGrid::setUnitPower(const std::vector<Watts> &unit_power)
                            1e6, "unit power");
     }
     // The ingest is everything past the input checks: the unit->cell
-    // rescatter plus the spectral power transform.
+    // map plus the spectral power transform.
     obs::ScopedTimer timer("stage.thermal.ingest");
 
-    std::fill(pCell_.begin(), pCell_.end(), 0.0);
-    for (size_t u = 0; u < unit_power.size(); ++u) {
-        const UnitCellMap &map = unitMaps_[u];
-        const Watts p = unit_power[u];
-        for (size_t k = 0; k < map.cells.size(); ++k)
-            pCell_[map.cells[k]] += p * map.fractions[k];
+    // 0.0 + p * f, not p * f: a -0.0 product must land as +0.0, as it
+    // does when added to a zero-filled cell. Uncovered cells keep the
+    // 0.0 they were built with.
+    const Watts *p = unit_power.data();
+    for (size_t i = 0; i < firstShares_; ++i) {
+        const CellShare &s = cellShares_[i];
+        pCell_[s.cell] = 0.0 + p[s.unit] * s.fraction;
+    }
+    for (size_t i = firstShares_; i < cellShares_.size(); ++i) {
+        const CellShare &s = cellShares_[i];
+        pCell_[s.cell] += p[s.unit] * s.fraction;
     }
 
     spectral_->setPower(pCell_);

@@ -136,9 +136,12 @@ class ThermalGrid
     /**
      * Set the power map for the next integration interval from per-unit
      * powers (indexed like Floorplan::units()); distributed over cells
-     * by area overlap. Every call rescatters: leakage and residual
-     * noise move unit power every interval, so a repeated vector is
-     * rare and costs one redundant ingest.
+     * by area overlap. Each covered cell is written once, from its
+     * first unit share as 0.0 + p * f; a cell that straddles units then
+     * adds its other shares in unit order, so every cell sums exactly
+     * as a zero-fill and per-unit scatter would. Every call redoes the
+     * map: leakage and residual noise move unit power every interval,
+     * so a repeated vector is rare and costs one redundant ingest.
      */
     void setUnitPower(const std::vector<Watts> &unit_power);
 
@@ -219,6 +222,21 @@ class ThermalGrid
     SpectralNetwork net_;
 
     std::vector<UnitCellMap> unitMaps_;
+
+    /** One unit's area share of one cell. */
+    struct CellShare
+    {
+        int cell;
+        int unit;
+        double fraction;
+    };
+    /**
+     * Every cell's first (lowest-unit) share in row-major order, then
+     * the further shares of straddling cells, by cell and unit.
+     * Uncovered cells have none.
+     */
+    std::vector<CellShare> cellShares_;
+    size_t firstShares_ = 0; ///< leading cellShares_ that start a cell
 
     // Real-space views of the solver's mode-space state, published
     // lazily inside const accessors (hence mutable).

@@ -274,22 +274,33 @@ TEST(Dct2Plan, MatchesDirectCosineSumOracle)
 
 TEST(Dct2Plan, BitwiseGoldenDigests)
 {
-    // FNV-1a digests of the two entry points' outputs, pinned with
-    // the batched-sweep implementation that preceded the strip
-    // kernels. Every dispatched clone must reproduce them bit for bit
+    // FNV-1a digests of the two entry points' outputs. The 64x64 and
+    // 24x24 rows were pinned with the batched-sweep implementation that
+    // preceded the strip kernels; the others were pinned before the
+    // Lee sweep plans were regrouped: every plan shape from 2 to 128
+    // points, non-square grids, and a partial strip on the dense path.
+    // Every dispatched clone must reproduce them bit for bit
     // (DESIGN.md §9.6); a mismatch means some floating-point operation
     // moved, and with it every spectral runHash.
     struct Golden
     {
-        int n;
+        int nx, ny;
         uint64_t forward, inverse;
     };
     for (const Golden &g :
-         {Golden{64, 0xc3e3675128647a06ULL, 0xdb9ddaf9fc3ba16cULL},
-          Golden{24, 0x5a599b21c590fb66ULL, 0xdf5a17b84a17daa7ULL}}) {
-        SCOPED_TRACE(testing::Message() << g.n << "x" << g.n);
-        Dct2Plan plan(g.n, g.n);
-        const std::vector<double> field = randomField(g.n * g.n, 2024);
+         {Golden{64, 64, 0xc3e3675128647a06ULL, 0xdb9ddaf9fc3ba16cULL},
+          Golden{24, 24, 0x5a599b21c590fb66ULL, 0xdf5a17b84a17daa7ULL},
+          Golden{8, 8, 0x37aca89432907bb5ULL, 0x908ffb350dc8e170ULL},
+          Golden{16, 16, 0xe522eb191983229dULL, 0x03679e7b1d78e541ULL},
+          Golden{32, 32, 0xa5c8964e41b76100ULL, 0xa0d07d21446cef8eULL},
+          Golden{128, 128, 0xd8459aab62da28b1ULL, 0xa32e9700474faa49ULL},
+          Golden{64, 32, 0x4e02d1ed7db51758ULL, 0x650ffb7c820fde3eULL},
+          Golden{32, 128, 0xc32a8d47f766b9aeULL, 0xde909a58e9861999ULL},
+          Golden{12, 8, 0x30234e492a43c69aULL, 0xf53af5a1951228b0ULL},
+          Golden{4, 2, 0x4a35a2cbce4a8f9dULL, 0x84015a6d48fe5935ULL}}) {
+        SCOPED_TRACE(testing::Message() << g.nx << "x" << g.ny);
+        Dct2Plan plan(g.nx, g.ny);
+        const std::vector<double> field = randomField(g.nx * g.ny, 2024);
         std::vector<double> modes(field.size());
         std::vector<double> back(field.size());
         plan.forward(field.data(), modes.data());

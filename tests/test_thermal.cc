@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "common/checked.hh"
+#include "common/rng.hh"
 #include "floorplan/skylake.hh"
 #include "thermal/explicit_reference.hh"
+#include "thermal/spectral_solver.hh"
 #include "thermal/thermal_grid.hh"
 
 using namespace boreas;
@@ -399,6 +403,64 @@ TEST(ThermalGrid, ChangedPowerVectorIsNotSkipped)
     power.back() = 3.0; // one element differs -> must rescatter
     grid.setUnitPower(power);
     EXPECT_NEAR(grid.totalPower(), fp.numUnits() + 2.0, 1e-9);
+}
+
+TEST(ThermalGrid, IngestMatchesPerUnitScatterBitwise)
+{
+    // setUnitPower must sum every cell exactly as a zero-fill plus
+    // per-unit scatter does: the same terms in unit order, and +0.0
+    // where a -0.0 product meets the zero fill. That scatter is the
+    // oracle here; its cell power drives a raw solver, and the grid's
+    // published field must match it bit for bit.
+    const Floorplan fp = buildSkylakeFloorplan();
+    for (int n : {64, 32, 24}) {
+        SCOPED_TRACE(testing::Message() << n << "x" << n);
+        ThermalParams params;
+        params.nx = n;
+        params.ny = n;
+        params.spectralShadowCheck = false;
+        ThermalGrid grid(fp, params);
+        SpectralThermalSolver solver(grid.spectralNetwork());
+        const std::vector<Celsius> ambient(grid.numCells(),
+                                           params.ambient);
+        solver.loadState(ambient, ambient, params.ambient);
+
+        // The order is only observable where three or more units
+        // share a cell (a + b == b + a).
+        const std::vector<UnitCellMap> maps = fp.rasterize(n, n);
+        std::vector<int> terms(grid.numCells(), 0);
+        for (const UnitCellMap &map : maps) {
+            for (int c : map.cells)
+                ++terms[c];
+        }
+        ASSERT_GE(*std::max_element(terms.begin(), terms.end()), 3);
+
+        Rng rng(100 + n);
+        std::vector<Watts> power(fp.numUnits());
+        for (Watts &p : power)
+            p = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.0, 6.0);
+        power[0] = -0.0; // the first share of each of its cells
+
+        std::vector<Watts> oracle(grid.numCells(), 0.0);
+        for (size_t u = 0; u < maps.size(); ++u) {
+            for (size_t k = 0; k < maps[u].cells.size(); ++k)
+                oracle[maps[u].cells[k]] += power[u] * maps[u].fractions[k];
+        }
+
+        grid.setUnitPower(power);
+        ASSERT_EQ(std::memcmp(grid.cellPower().data(), oracle.data(),
+                              oracle.size() * sizeof(Watts)),
+                  0);
+        grid.step(80e-6);
+        solver.setPower(oracle);
+        solver.step(80e-6);
+        std::vector<Celsius> si(grid.numCells());
+        solver.realizeSilicon(si);
+        EXPECT_EQ(std::memcmp(grid.siliconTemps().data(), si.data(),
+                              si.size() * sizeof(Celsius)),
+                  0);
+        EXPECT_EQ(grid.sinkTemp(), solver.sinkTemp());
+    }
 }
 
 using ThermalGridDeathTest = ::testing::Test;
