@@ -209,21 +209,28 @@ main(int argc, char **argv)
 
     // Per-stage split of the timed run (pipeline stage timers plus
     // the fleet barrier), from the sharded metrics histograms. Stage
-    // timers are inclusive: stage.thermal contains the ingest, the step
-    // and the publish of the silicon field, so its nested
-    // stage.thermal.ingest / .publish rows count twice in the shares;
-    // stage.power and stage.sensors contain no thermal work.
+    // timers are inclusive, so a nested timer (a name with a second
+    // dot: stage.thermal.ingest / .publish / .steady,
+    // stage.start.warm_probe) runs inside its parent's span. The share
+    // denominator sums the top-level stage.<name> timers only, so each
+    // nested row reads as its part of the total, already counted once
+    // in its parent's row.
     const obs::MetricsSnapshot snap =
         obs::MetricsRegistry::global().snapshot();
+    const std::string prefix = "stage.";
+    const auto is_stage = [&](const std::string &name) {
+        return name.rfind(prefix, 0) == 0;
+    };
     double stage_total_us = 0.0;
     for (const auto &[name, hist] : snap.histograms) {
-        if (name.rfind("stage.", 0) == 0)
+        if (is_stage(name) &&
+            name.find('.', prefix.size()) == std::string::npos)
             stage_total_us += hist.sum;
     }
     TextTable stages;
     stages.setHeader({"stage", "calls", "total s", "share %"});
     for (const auto &[name, hist] : snap.histograms) {
-        if (name.rfind("stage.", 0) != 0)
+        if (!is_stage(name))
             continue;
         stages.addRow({name, std::to_string(hist.count),
                        TextTable::num(hist.sum / 1e6, 3),

@@ -3,7 +3,9 @@
  * Google-benchmark microbenchmarks of the hot paths backing the
  * Sec. V-E overhead discussion: one GBT prediction (reference walk and
  * flat engine), one controller decision, one thermal step, one
- * MLTD/severity evaluation, and one full pipeline telemetry step —
+ * MLTD/severity evaluation (live 64x64, plus fixed 32x32 and 128x128
+ * fields), the per-unit temperature gather, and one full pipeline
+ * telemetry step —
  * plus the spectral solver's per-step cost: one forward and inverse
  * DCT at 32x32, 64x64 and 128x128, the 64x64 ingest alone, the mode
  * sweep alone, and one ingest -> step -> publish cycle — the per-step
@@ -284,6 +286,56 @@ BM_SeverityEvaluation(benchmark::State &bm)
     }
 }
 BENCHMARK(BM_SeverityEvaluation)->Apply(microBench);
+
+/**
+ * One evaluation of a fixed n x n field with a w-cell window: the
+ * 32x32 (w = 4) and 128x128 (w = 16) rows bracket the live 64x64
+ * (w = 8) row above, so the window's per-cell cost shows as grid and
+ * window grow together. No training needed.
+ */
+static void
+severityEvaluation(benchmark::State &bm, int n, int w)
+{
+    const SeverityModel model;
+    Rng rng(n + w);
+    std::vector<Celsius> temps(static_cast<size_t>(n) * n);
+    for (Celsius &t : temps)
+        t = rng.uniform(40.0, 110.0);
+    const Meters cell = model.params().mltdRadius / w;
+    for (auto _ : bm)
+        benchmark::DoNotOptimize(model.evaluate(temps, n, n, cell));
+}
+
+static void
+BM_SeverityEvaluation32(benchmark::State &bm)
+{
+    severityEvaluation(bm, 32, 4);
+}
+static void
+BM_SeverityEvaluation128(benchmark::State &bm)
+{
+    severityEvaluation(bm, 128, 16);
+}
+BENCHMARK(BM_SeverityEvaluation32)->Apply(microBench);
+BENCHMARK(BM_SeverityEvaluation128)->Apply(microBench);
+
+/**
+ * unitTemps() alone on the default grid: the per-unit area-weighted
+ * gather the pipeline runs before every power step, on a published
+ * field. No training needed.
+ */
+static void
+BM_UnitTemps(benchmark::State &bm)
+{
+    const Floorplan fp = buildSkylakeFloorplan();
+    ThermalGrid grid(fp, ThermalParams{});
+    grid.setUnitPower(std::vector<Watts>(fp.numUnits(), 0.5));
+    grid.step(kTelemetryStep);
+    grid.siliconTemps();
+    for (auto _ : bm)
+        benchmark::DoNotOptimize(grid.unitTemps().data());
+}
+BENCHMARK(BM_UnitTemps)->Apply(microBench);
 
 static void
 BM_PipelineTelemetryStep(benchmark::State &bm)

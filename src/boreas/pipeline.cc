@@ -206,10 +206,10 @@ SimulationPipeline::step(GHz freq)
     if (ncores > 1)
         rec.coreCounters = core_counters;
 
-    const std::vector<Celsius> &unit_temps = grid_.unitTemps();
     std::vector<Watts> unit_power;
     {
         obs::ScopedTimer timer("stage.power");
+        const std::vector<Celsius> &unit_temps = grid_.unitTemps();
         std::vector<const CounterSet *> ptrs(ncores, nullptr);
         for (int c = 0; c < ncores; ++c) {
             if (stimuli[c].active)

@@ -71,8 +71,10 @@ class SeverityModel
      * to the coolest cell within the radius, over a square window of
      * half-width w = round(radius / cell_size) cells (at least 1,
      * approximating the disk). Shares evaluate()'s vector kernel: per
-     * row, a column min over 2w+1 rows, then a row min over 2w+1
-     * offset loads of that row padded with +inf; O(cells * w).
+     * row, a running (van Herk / Gil-Werman) column min over 2w+1
+     * rows, then a log-step row min of that row padded with +inf;
+     * O(cells * log w), a constant number of mins per cell in the
+     * column direction and about log2(2w+1) in the row direction.
      * cell_size must be finite and > 0.
      */
     std::vector<Celsius> mltdField(const std::vector<Celsius> &temps,

@@ -76,6 +76,14 @@ ThermalGrid::ThermalGrid(const Floorplan &floorplan,
     boreas_assert(params_.nx >= 4 && params_.ny >= 4,
                   "grid too small: %dx%d", params_.nx, params_.ny);
     unitMaps_ = floorplan_->rasterize(params_.nx, params_.ny);
+    // unitTemps()'s divisors: each unit's fractions summed in cell
+    // order, as its weighted sum runs.
+    for (const UnitCellMap &map : unitMaps_) {
+        double wsum = 0.0;
+        for (double f : map.fractions)
+            wsum += f;
+        unitWeights_.push_back(wsum);
+    }
     // setUnitPower's share table: each cell's shares in unit order.
     std::vector<std::vector<CellShare>> by_cell(numCells());
     for (size_t u = 0; u < unitMaps_.size(); ++u) {
@@ -297,14 +305,12 @@ ThermalGrid::unitTemps() const
     unitTempsScratch_.assign(floorplan_->numUnits(), params_.ambient);
     for (size_t u = 0; u < unitMaps_.size(); ++u) {
         const UnitCellMap &map = unitMaps_[u];
-        double acc = 0.0;
-        double wsum = 0.0;
-        for (size_t k = 0; k < map.cells.size(); ++k) {
-            acc += tSi_[map.cells[k]] * map.fractions[k];
-            wsum += map.fractions[k];
+        if (unitWeights_[u] > 0.0) {
+            double acc = 0.0;
+            for (size_t k = 0; k < map.cells.size(); ++k)
+                acc += tSi_[map.cells[k]] * map.fractions[k];
+            unitTempsScratch_[u] = acc / unitWeights_[u];
         }
-        if (wsum > 0.0)
-            unitTempsScratch_[u] = acc / wsum;
     }
     return unitTempsScratch_;
 }

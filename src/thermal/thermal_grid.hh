@@ -222,6 +222,7 @@ class ThermalGrid
     SpectralNetwork net_;
 
     std::vector<UnitCellMap> unitMaps_;
+    std::vector<double> unitWeights_; ///< per unit: sum of its fractions
 
     /** One unit's area share of one cell. */
     struct CellShare

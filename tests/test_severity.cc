@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <deque>
 #include <limits>
@@ -374,18 +375,21 @@ offAnchors()
 
 TEST(SeverityKernel, MatchesDequeOracleBitwise)
 {
-    // Sizes straddle the 8-cell strip (1, 7, 9, 31, 65 leave partial
-    // strips); radii run from one cell to past the grid's larger side.
+    // Sizes straddle the 8-cell strip (1, 7, 9, 17, 31, 35, 65 leave
+    // partial strips) and the 2w+1-row blocks of the running column
+    // min: at w = 8 the row counts 16, 17, 18, 34 and 35 are L-1, L,
+    // L+1, 2L and 2L+1 for L = 17. Radii run from one cell to past the
+    // grid's larger side.
     // Fields span every severity segment, the floor clamp and the
     // zero clamp below tRef. Rounded fields are tie-heavy: equal
     // minima, severities and maxima exercise the first-index argmax.
-    const int sizes[] = {1, 3, 7, 8, 9, 16, 31, 64, 65};
+    const int sizes[] = {1, 3, 7, 8, 9, 16, 17, 18, 31, 34, 35, 64, 65, 128};
     Rng rng(4242);
     for (const SeverityParams &params : {SeverityParams{}, offAnchors()}) {
         const SeverityModel model(params);
         for (int nx : sizes) {
             for (int ny : sizes) {
-                for (int w : {1, 2, 3, 4, 8, 9, 17, 40, 70}) {
+                for (int w : {1, 2, 3, 4, 8, 9, 16, 17, 40, 70}) {
                     if (w > std::max(nx, ny) + 6 && w != 70)
                         continue;
                     for (bool rounded : {false, true}) {
@@ -422,28 +426,46 @@ TEST(SeverityKernel, MatchesDequeOracleBitwise)
 TEST(SeverityModel, BitwiseGoldenDigest)
 {
     // FNV-1a digest of the per-cell severity field and the snapshot of
-    // a fixed 64x64 field (w = 8), under the paper's anchors and under
-    // offAnchors(), pinned with the deque implementation that preceded
-    // the fused kernel. Every dispatched clone must reproduce it bit
-    // for bit (DESIGN.md §9.6); a mismatch means some floating-point
-    // operation moved, and with it every runHash.
-    const int n = 64;
-    Rng rng(2024);
-    std::vector<Celsius> temps(n * n);
-    for (double &t : temps)
-        t = rng.uniform(40.0, 110.0);
-    Fnv1a h;
-    for (const SeverityParams &params : {SeverityParams{}, offAnchors()}) {
-        std::vector<double> per_cell;
-        const SeveritySnapshot snap = SeverityModel(params).evaluate(
-            temps, n, n, params.mltdRadius / 8, &per_cell);
-        h.add(per_cell);
-        h.add(snap.maxSeverity);
-        h.add(snap.argmaxCell);
-        h.add(snap.tempAtMax);
-        h.add(snap.mltdAtMax);
-        h.add(snap.maxTemp);
-        h.add(snap.maxMltd);
+    // a fixed field, under the paper's anchors and under offAnchors().
+    // The 64x64 row (w = 8) was pinned with the deque implementation
+    // that preceded the fused kernel; the others were pinned with the
+    // 2w+1-tap window kernel, before the running-min window. 61x40 at
+    // w = 9 leaves a partial strip and a row count that is no multiple
+    // of the 2w+1-row block. Every dispatched clone must reproduce
+    // each row bit for bit (DESIGN.md §9.6); a mismatch means some
+    // floating-point operation moved, and with it every runHash.
+    struct Golden
+    {
+        int nx, ny, w;
+        uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {64, 64, 8, 0x8905fe4926b0088dULL},
+        {32, 32, 4, 0x266c19c0d9ed294bULL},
+        {128, 128, 16, 0x8254c3de90e7b934ULL},
+        {61, 40, 9, 0xfe1c4a3443e2a22dULL},
+    };
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(testing::Message()
+                     << g.nx << "x" << g.ny << " w=" << g.w);
+        Rng rng(2024);
+        std::vector<Celsius> temps(g.nx * g.ny);
+        for (double &t : temps)
+            t = rng.uniform(40.0, 110.0);
+        Fnv1a h;
+        for (const SeverityParams &params :
+             {SeverityParams{}, offAnchors()}) {
+            std::vector<double> per_cell;
+            const SeveritySnapshot snap = SeverityModel(params).evaluate(
+                temps, g.nx, g.ny, params.mltdRadius / g.w, &per_cell);
+            h.add(per_cell);
+            h.add(snap.maxSeverity);
+            h.add(snap.argmaxCell);
+            h.add(snap.tempAtMax);
+            h.add(snap.mltdAtMax);
+            h.add(snap.maxTemp);
+            h.add(snap.maxMltd);
+        }
+        EXPECT_EQ(h.digest(), g.digest);
     }
-    EXPECT_EQ(h.digest(), 0x8905fe4926b0088dULL);
 }

@@ -463,6 +463,52 @@ TEST(ThermalGrid, IngestMatchesPerUnitScatterBitwise)
     }
 }
 
+TEST(ThermalGrid, UnitTempsMatchPerUnitGatherBitwise)
+{
+    // unitTemps() must average every unit exactly as a per-unit gather
+    // over the rasterized map does: temperature times fraction summed
+    // in cell order, divided by the fraction sum summed in the same
+    // order, ambient for a unit that covers no cell. That gather is
+    // the oracle here.
+    const Floorplan fp = buildSkylakeFloorplan();
+    for (int n : {64, 32, 24}) {
+        SCOPED_TRACE(testing::Message() << n << "x" << n);
+        ThermalParams params;
+        params.nx = n;
+        params.ny = n;
+        params.spectralShadowCheck = false;
+        ThermalGrid grid(fp, params);
+
+        Rng rng(200 + n);
+        std::vector<Watts> power(fp.numUnits());
+        for (Watts &p : power)
+            p = rng.uniform(0.0, 6.0);
+        grid.setUnitPower(power);
+        for (int i = 0; i < 5; ++i)
+            grid.step(80e-6);
+
+        const std::vector<Celsius> &si = grid.siliconTemps();
+        const std::vector<UnitCellMap> maps = fp.rasterize(n, n);
+        std::vector<Celsius> oracle(fp.numUnits(), params.ambient);
+        for (size_t u = 0; u < maps.size(); ++u) {
+            double acc = 0.0;
+            double wsum = 0.0;
+            for (size_t k = 0; k < maps[u].cells.size(); ++k) {
+                acc += si[maps[u].cells[k]] * maps[u].fractions[k];
+                wsum += maps[u].fractions[k];
+            }
+            if (wsum > 0.0)
+                oracle[u] = acc / wsum;
+        }
+
+        const std::vector<Celsius> &got = grid.unitTemps();
+        ASSERT_EQ(got.size(), oracle.size());
+        EXPECT_EQ(std::memcmp(got.data(), oracle.data(),
+                              oracle.size() * sizeof(Celsius)),
+                  0);
+    }
+}
+
 using ThermalGridDeathTest = ::testing::Test;
 
 TEST(ThermalGridDeathTest, MidRunDtChangeIsFlaggedInCheckedBuilds)
