@@ -104,7 +104,6 @@ main(int argc, char **argv)
     requireNoWorkloadOverride(options, "gbt_throughput");
 
     BenchReport report("gbt_throughput");
-    report.predictEngine("flat");
 
     // The micro_latency training recipe: the paper's deployed 223-tree
     // model on a reduced trajectory set (the model shape, not the

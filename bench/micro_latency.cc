@@ -251,9 +251,7 @@ static void
 BM_SpectralCycle(benchmark::State &bm)
 {
     const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams params;
-    params.spectralShadowCheck = false;
-    ThermalGrid grid(fp, params);
+    ThermalGrid grid(fp, ThermalParams{});
     Rng rng(80);
     std::vector<Watts> power[2];
     for (auto &p : power) {
@@ -495,7 +493,6 @@ main(int argc, char **argv)
     argc = kept;
 
     boreas::bench::BenchReport report("micro_latency");
-    report.predictEngine("flat");
     if (!g_workload_spec.empty())
         report.workloadSource(g_workload_spec);
     benchmark::Initialize(&argc, argv);

@@ -121,12 +121,6 @@ BenchReport::workloadSource(const std::string &spec_string)
 }
 
 void
-BenchReport::predictEngine(const std::string &name)
-{
-    artifact_.manifest.predictEngine = name;
-}
-
-void
 BenchReport::fleetDies(int dies)
 {
     artifact_.manifest.fleetDies = dies;

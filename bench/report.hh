@@ -77,9 +77,6 @@ class BenchReport
     /** Record the workload-source spec string the bench ran. */
     void workloadSource(const std::string &spec_string);
 
-    /** Record the GBT inference path ("flat" / "reference"). */
-    void predictEngine(const std::string &name);
-
     /** Record the fleet size of a src/fleet experiment. */
     void fleetDies(int dies);
 

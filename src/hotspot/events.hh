@@ -53,7 +53,6 @@ class HotspotDetector
                              double arm_level = 0.8);
 
     double threshold() const { return threshold_; }
-    double armLevel() const { return armLevel_; }
 
     /** Feed one telemetry step's snapshot (call in step order). */
     void observe(const SeveritySnapshot &snap,

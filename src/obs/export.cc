@@ -123,9 +123,6 @@ emitManifest(std::ostream &os, const RunManifest &m)
     if (!m.workloadSource.empty())
         os << "    \"workload_source\": \"" << escape(m.workloadSource)
            << "\",\n";
-    if (!m.predictEngine.empty())
-        os << "    \"predict_engine\": \"" << escape(m.predictEngine)
-           << "\",\n";
     if (!m.simdDispatch.empty())
         os << "    \"simd_dispatch\": \"" << escape(m.simdDispatch)
            << "\",\n";

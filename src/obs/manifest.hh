@@ -32,12 +32,6 @@ struct RunManifest
      */
     std::string workloadSource;
     /**
-     * GBT inference path the run measured ("flat" for the batched
-     * SoA engine, "reference" for the pointer-chasing tree walk); ""
-     * for benches that never serve severity predictions.
-     */
-    std::string predictEngine;
-    /**
      * Clone the dispatched DCT kernels run on this host ("avx512f",
      * "avx2", "default", or "none" when the build compiles the clones
      * out); "" when not recorded.

@@ -11,6 +11,15 @@ namespace boreas
 namespace
 {
 
+/** A node's Euler update t + s * flux (s = h/C), or its rate s * flux
+ *  (s = 1/C). */
+template <bool kAdvance>
+inline double
+store(double t, double s, double flux)
+{
+    return kAdvance ? t + s * flux : s * flux;
+}
+
 /**
  * One interior stencil row (all four neighbors exist): branch-free,
  * restrict-qualified, and kept a free function so the compiler can
@@ -18,6 +27,7 @@ namespace
  * order matches the branchy edge formulation term for term, so the
  * fast path changes speed only, never results.
  */
+template <bool kAdvance>
 void
 updateInteriorRow(const double *__restrict tsi_v,
                   const double *__restrict tsp_v,
@@ -35,15 +45,89 @@ updateInteriorRow(const double *__restrict tsi_v,
         flux += g_si * (tsi_v[i + 1] - tsi);
         flux += g_si * (tsi_v[i - nx] - tsi);
         flux += g_si * (tsi_v[i + nx] - tsi);
-        nsi_v[i] = tsi + inv_csi * flux;
+        nsi_v[i] = store<kAdvance>(tsi, inv_csi, flux);
 
         double fsp = g_v * (tsi - tsp) + g_sink * (tsink - tsp);
         fsp += g_sp * (tsp_v[i - 1] - tsp);
         fsp += g_sp * (tsp_v[i + 1] - tsp);
         fsp += g_sp * (tsp_v[i - nx] - tsp);
         fsp += g_sp * (tsp_v[i + nx] - tsp);
-        nsp_v[i] = tsp + inv_csp * fsp;
+        nsp_v[i] = store<kAdvance>(tsp, inv_csp, fsp);
     }
+}
+
+/**
+ * One stencil sweep over every node from the state (tsi_v, tsp_v,
+ * tsink) under cell power pc_v and the given ambient: each silicon and
+ * spreader node's Euler update (kAdvance) or rate (see store()) goes
+ * to nsi_v / nsp_v, and the sink's is returned. step() advances with
+ * it; truncationBound() takes rates.
+ */
+template <bool kAdvance>
+double
+sweep(const SpectralNetwork &net, double inv_csi, double inv_csp,
+      double inv_csink, const double *tsi_v, const double *tsp_v,
+      double tsink, const double *pc_v, Celsius ambient, double *nsi_v,
+      double *nsp_v)
+{
+    const int nx = net.nx;
+    const int ny = net.ny;
+    const double g_si = net.gLatSi;
+    const double g_sp = net.gLatSp;
+    const double g_v = net.gVert;
+    const double g_sink = net.gSinkCell;
+
+    // Boundary cells: a missing neighbor is simply omitted (the
+    // Neumann condition the DCT basis matches).
+    auto edge_cell = [&](int x, int y, int i) {
+        const double tsi = tsi_v[i];
+        const double tsp = tsp_v[i];
+
+        double flux = pc_v[i] + g_v * (tsp - tsi);
+        if (x > 0)
+            flux += g_si * (tsi_v[i - 1] - tsi);
+        if (x < nx - 1)
+            flux += g_si * (tsi_v[i + 1] - tsi);
+        if (y > 0)
+            flux += g_si * (tsi_v[i - nx] - tsi);
+        if (y < ny - 1)
+            flux += g_si * (tsi_v[i + nx] - tsi);
+        nsi_v[i] = store<kAdvance>(tsi, inv_csi, flux);
+
+        double fsp = g_v * (tsi - tsp) + g_sink * (tsink - tsp);
+        if (x > 0)
+            fsp += g_sp * (tsp_v[i - 1] - tsp);
+        if (x < nx - 1)
+            fsp += g_sp * (tsp_v[i + 1] - tsp);
+        if (y > 0)
+            fsp += g_sp * (tsp_v[i - nx] - tsp);
+        if (y < ny - 1)
+            fsp += g_sp * (tsp_v[i + nx] - tsp);
+        nsp_v[i] = store<kAdvance>(tsp, inv_csp, fsp);
+    };
+
+    for (int x = 0; x < nx; ++x)
+        edge_cell(x, 0, x);
+
+    for (int y = 1; y < ny - 1; ++y) {
+        const int row = y * nx;
+        edge_cell(0, y, row);
+        updateInteriorRow<kAdvance>(tsi_v, tsp_v, nsi_v, nsp_v, pc_v, row,
+                                    nx, g_si, g_sp, g_v, g_sink, tsink,
+                                    inv_csi, inv_csp);
+        edge_cell(nx - 1, y, row + nx - 1);
+    }
+
+    const int last_row = (ny - 1) * nx;
+    for (int x = 0; x < nx; ++x)
+        edge_cell(x, ny - 1, last_row + x);
+
+    // Sink node, accumulated in row-major order.
+    double sink_flux = 0.0;
+    for (int i = 0; i < nx * ny; ++i)
+        sink_flux += g_sink * (tsp_v[i] - tsink);
+    sink_flux += (ambient - tsink) / net.sinkAmbientResistance;
+    return store<kAdvance>(tsink, inv_csink, sink_flux);
 }
 
 } // namespace
@@ -54,13 +138,18 @@ ExplicitReference::ExplicitReference(const SpectralNetwork &net,
 {
     boreas_assert(net_.nx >= 4 && net_.ny >= 4,
                   "grid too small: %dx%d", net_.nx, net_.ny);
+    boreas_assert(dt_safety > 0.0 && dt_safety <= 1.0,
+                  "dt safety factor %g outside (0, 1]", dt_safety);
     // Explicit-integration stability: dt < C / sum(G) per node; take the
     // tightest bound over node types and apply the safety factor.
     const double gsi = 4.0 * net_.gLatSi + net_.gVert;
     const double gsp = 4.0 * net_.gLatSp + net_.gVert + net_.gSinkCell;
+    const double gsink = net_.nx * net_.ny * net_.gSinkCell +
+        1.0 / net_.sinkAmbientResistance;
     const double dt_si = net_.cSi / gsi;
     const double dt_sp = net_.cSp / gsp;
-    dtMax_ = dt_safety * std::min(dt_si, dt_sp);
+    const double dt_sink = net_.sinkCapacitance / gsink;
+    dtMax_ = dt_safety * std::min({dt_si, dt_sp, dt_sink});
     boreas_assert(dtMax_ > 0.0, "bad stability bound");
 
     const size_t n = static_cast<size_t>(net_.nx) * net_.ny;
@@ -92,98 +181,53 @@ ExplicitReference::setPower(const std::vector<Watts> &cell_power)
     power_ = cell_power;
 }
 
-void
-ExplicitReference::rebuildPlan(Seconds dt)
+int
+ExplicitReference::substeps(Seconds dt) const
 {
-    plan_.dt = dt;
-    plan_.substeps = std::max(
-        1, static_cast<int>(std::ceil(dt / dtMax_)));
-    const double h = dt / plan_.substeps;
-    plan_.invCsi = h / net_.cSi;
-    plan_.invCsp = h / net_.cSp;
-    plan_.hOverCsink = h / net_.sinkCapacitance;
+    return std::max(1, static_cast<int>(std::ceil(dt / dtMax_)));
 }
 
 void
 ExplicitReference::step(Seconds dt)
 {
     boreas_assert(dt > 0.0, "bad dt");
-    if (dt != plan_.dt)
-        rebuildPlan(dt);
-
-    const int nx = net_.nx;
-    const int ny = net_.ny;
-    const int n = nx * ny;
-    const double inv_csi = plan_.invCsi;
-    const double inv_csp = plan_.invCsp;
-    const double g_si = net_.gLatSi;
-    const double g_sp = net_.gLatSp;
-    const double g_v = net_.gVert;
-    const double g_sink = net_.gSinkCell;
-
-    for (int s = 0; s < plan_.substeps; ++s) {
-        const double *__restrict tsi_v = si_.data();
-        const double *__restrict tsp_v = sp_.data();
-        double *__restrict nsi_v = newSi_.data();
-        double *__restrict nsp_v = newSp_.data();
-        const double *__restrict pc_v = power_.data();
-        const double tsink = sink_;
-
-        // Boundary cells: a missing neighbor is simply omitted (the
-        // Neumann condition the DCT basis matches).
-        auto edge_cell = [&](int x, int y, int i) {
-            const double tsi = tsi_v[i];
-            const double tsp = tsp_v[i];
-
-            double flux = pc_v[i] + g_v * (tsp - tsi);
-            if (x > 0)
-                flux += g_si * (tsi_v[i - 1] - tsi);
-            if (x < nx - 1)
-                flux += g_si * (tsi_v[i + 1] - tsi);
-            if (y > 0)
-                flux += g_si * (tsi_v[i - nx] - tsi);
-            if (y < ny - 1)
-                flux += g_si * (tsi_v[i + nx] - tsi);
-            nsi_v[i] = tsi + inv_csi * flux;
-
-            double fsp = g_v * (tsi - tsp) + g_sink * (tsink - tsp);
-            if (x > 0)
-                fsp += g_sp * (tsp_v[i - 1] - tsp);
-            if (x < nx - 1)
-                fsp += g_sp * (tsp_v[i + 1] - tsp);
-            if (y > 0)
-                fsp += g_sp * (tsp_v[i - nx] - tsp);
-            if (y < ny - 1)
-                fsp += g_sp * (tsp_v[i + nx] - tsp);
-            nsp_v[i] = tsp + inv_csp * fsp;
-        };
-
-        for (int x = 0; x < nx; ++x)
-            edge_cell(x, 0, x);
-
-        for (int y = 1; y < ny - 1; ++y) {
-            const int row = y * nx;
-            edge_cell(0, y, row);
-            updateInteriorRow(tsi_v, tsp_v, nsi_v, nsp_v, pc_v, row,
-                              nx, g_si, g_sp, g_v, g_sink, tsink,
-                              inv_csi, inv_csp);
-            edge_cell(nx - 1, y, row + nx - 1);
-        }
-
-        const int last_row = (ny - 1) * nx;
-        for (int x = 0; x < nx; ++x)
-            edge_cell(x, ny - 1, last_row + x);
-
-        // Sink update, accumulated in row-major order.
-        double sink_flux = 0.0;
-        for (int i = 0; i < n; ++i)
-            sink_flux += g_sink * (tsp_v[i] - tsink);
-        sink_flux += (net_.ambient - sink_) / net_.sinkAmbientResistance;
-        sink_ += plan_.hOverCsink * sink_flux;
-
+    const int substeps_n = substeps(dt);
+    const double h = dt / substeps_n;
+    for (int s = 0; s < substeps_n; ++s) {
+        sink_ = sweep<true>(net_, h / net_.cSi, h / net_.cSp,
+                            h / net_.sinkCapacitance, si_.data(),
+                            sp_.data(), sink_, power_.data(),
+                            net_.ambient, newSi_.data(), newSp_.data());
         si_.swap(newSi_);
         sp_.swap(newSp_);
     }
+}
+
+double
+ExplicitReference::truncationBound(Seconds dt) const
+{
+    boreas_assert(dt > 0.0, "bad dt");
+    const size_t n = si_.size();
+    const double r_si = 1.0 / net_.cSi;
+    const double r_sp = 1.0 / net_.cSp;
+    const double r_sink = 1.0 / net_.sinkCapacitance;
+    std::vector<double> dsi(n), dsp(n), ddsi(n), ddsp(n);
+    const std::vector<double> no_power(n, 0.0);
+
+    // x' = A x + b under the loaded state and drive; then x'' = A x',
+    // the same sweep over the rates, undriven.
+    const double dsink = sweep<false>(net_, r_si, r_sp, r_sink, si_.data(),
+                                      sp_.data(), sink_, power_.data(),
+                                      net_.ambient, dsi.data(), dsp.data());
+    double norm = std::fabs(sweep<false>(net_, r_si, r_sp, r_sink,
+                                         dsi.data(), dsp.data(), dsink,
+                                         no_power.data(), 0.0,
+                                         ddsi.data(), ddsp.data()));
+    for (size_t i = 0; i < n; ++i)
+        norm = std::max({norm, std::fabs(ddsi[i]), std::fabs(ddsp[i])});
+
+    const double h = dt / substeps(dt);
+    return 0.5 * h * dt * norm;
 }
 
 } // namespace boreas

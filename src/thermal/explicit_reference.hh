@@ -6,11 +6,16 @@
  * (thermal/spectral_solver.hh). This class advances the same network
  * (SpectralNetwork) with the classic explicit stencil instead: every
  * node moves by h/C times its net inflow, in substeps bounded by the
- * network's stability limit times a safety factor. Its error is the
+ * network's stability limit (the tightest C / sum(G) over silicon,
+ * spreader and sink nodes) times a safety factor. Its error is the
  * forward-Euler O(h) truncation, so it is the yardstick the spectral
  * path is checked against, never a production integrator. It has three
  * users: the checked-build shadow run in ThermalGrid::step, the tests,
  * and bench/thermal_solver.
+ *
+ * truncationBound() proves how far one step can land from the exact
+ * solution, so a spectral step (exact up to round-off) that lands
+ * further away is a fault, never the reference's truncation.
  *
  * The stencil keeps one fixed per-node floating-point operation order
  * and is compiled for the baseline target only (no target clones), so
@@ -35,6 +40,10 @@ namespace boreas
 class ExplicitReference
 {
   public:
+    /** Safety factor the checked-build shadow run substeps at. */
+    static constexpr double kShadowDtSafety = 0.4;
+
+    /** `dt_safety` in (0, 1]: the truncation bound's proof needs it. */
     ExplicitReference(const SpectralNetwork &net, double dt_safety);
 
     /** Largest stable substep, with the safety factor applied. */
@@ -47,11 +56,20 @@ class ExplicitReference
     /** Copy the per-cell power map driving subsequent steps. */
     void setPower(const std::vector<Watts> &cell_power);
 
-    /**
-     * Advance by dt in equal substeps no longer than maxStableDt().
-     * The per-dt substep constants are cached while dt stays fixed.
-     */
+    /** Advance by dt in equal substeps no longer than maxStableDt(). */
     void step(Seconds dt);
+
+    /**
+     * Proven bound on the max-norm distance between what step(dt)
+     * would produce from the loaded state and power and the exact
+     * solution of the same network: (h dt / 2) ||A (A x + b)||_inf for
+     * the network matrix A, state x, drive b and substep h. Proof:
+     * below the stability limit I + hA is non-negative with row sums
+     * <= 1, so the substeps' local errors (each <= h^2/2 max ||x''||)
+     * add without growing; and x''(t) = e^{At} x''(0), where e^{At}
+     * never expands the max-norm, so x'' is largest at the start.
+     */
+    double truncationBound(Seconds dt) const;
 
     /** Silicon-layer temperatures, row-major (y * nx + x). */
     const std::vector<Celsius> &silicon() const { return si_; }
@@ -63,21 +81,11 @@ class ExplicitReference
     Celsius sinkTemp() const { return sink_; }
 
   private:
-    /** Cached per-dt substep constants (hot-path hoist). */
-    struct StepPlan
-    {
-        Seconds dt = 0.0;
-        int substeps = 0;
-        double invCsi = 0.0;
-        double invCsp = 0.0;
-        double hOverCsink = 0.0;
-    };
-
-    void rebuildPlan(Seconds dt);
+    /** Equal substeps no longer than maxStableDt() that cover dt. */
+    int substeps(Seconds dt) const;
 
     SpectralNetwork net_;
     Seconds dtMax_ = 0.0;
-    StepPlan plan_;
 
     std::vector<Celsius> si_;
     std::vector<Celsius> sp_;

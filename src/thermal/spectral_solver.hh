@@ -94,9 +94,6 @@ class SpectralThermalSolver
     /** Heatsink node temperature (always current; no DCT involved). */
     Celsius sinkTemp() const { return tSink_; }
 
-    /** The dt the cached exponential plan was built for (0 = none). */
-    Seconds planDt() const { return planDt_; }
-
   private:
     void buildPlan(Seconds dt);
 

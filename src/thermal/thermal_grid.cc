@@ -18,6 +18,10 @@ namespace
 constexpr double kMinSaneTemp = -100.0;
 constexpr double kMaxSaneTemp = 2000.0;
 
+// Round-off the shadow check allows on top of the reference's proven
+// truncation bound, Celsius (a step's round-off is ~1e-12 C).
+constexpr double kShadowRoundoff = 1e-9;
+
 } // namespace
 
 namespace boreas
@@ -107,9 +111,10 @@ ThermalGrid::ThermalGrid(const Floorplan &floorplan,
     net_ = buildNetwork(*floorplan_, params_);
     pCell_.assign(numCells(), 0.0);
     spectral_ = std::make_unique<SpectralThermalSolver>(net_);
-    if (kCheckedBuild && params_.spectralShadowCheck)
-        shadow_ = std::make_unique<ExplicitReference>(net_,
-                                                      params_.dtSafety);
+    if constexpr (kCheckedBuild) {
+        shadow_ = std::make_unique<ExplicitReference>(
+            net_, ExplicitReference::kShadowDtSafety);
+    }
     reset(params_.ambient);
 }
 
@@ -170,55 +175,47 @@ ThermalGrid::step(Seconds dt)
                  "thermal dt changed mid-run: %g -> %g", lastDt_, dt);
     lastDt_ = dt;
 
-    if (shadow_ != nullptr) {
+    // Checked builds shadow-run the reference from the same state and
+    // power; the spectral step is exact up to round-off, so it must
+    // land within the reference's proven truncation bound.
+    double shadow_bound = 0.0;
+    if constexpr (kCheckedBuild) {
         ensureSiliconCurrent();
         ensureSpreaderCurrent();
         shadow_->loadState(tSi_, tSp_, spectral_->sinkTemp());
         shadow_->setPower(pCell_);
+        shadow_bound = shadow_->truncationBound(dt);
     }
 
     spectral_->step(dt);
     siValid_ = false;
     spValid_ = false;
 
-    if (shadow_ != nullptr) {
-        shadow_->step(dt);
-        ensureSiliconCurrent();
-        ensureSpreaderCurrent();
-        const std::vector<Celsius> &ref_si = shadow_->silicon();
-        const std::vector<Celsius> &ref_sp = shadow_->spreader();
-        double err = std::fabs(spectral_->sinkTemp() -
-                               shadow_->sinkTemp());
-        for (size_t i = 0; i < tSi_.size(); ++i) {
-            err = std::max(err, std::fabs(tSi_[i] - ref_si[i]));
-            err = std::max(err, std::fabs(tSp_[i] - ref_sp[i]));
-        }
-        if (err > params_.spectralShadowTolerance) {
-            if (!warnedShadowFallback_) {
-                boreas_warn("spectral thermal step diverged from the "
-                            "explicit reference by %.6f C (bound %.6f); "
-                            "adopting the explicit result", err,
-                            params_.spectralShadowTolerance);
-                warnedShadowFallback_ = true;
-            }
-            obs::MetricsRegistry::global().add(
-                "thermal.spectral.shadow_fallback");
-            tSi_ = ref_si;
-            tSp_ = ref_sp;
-            spectral_->loadState(tSi_, tSp_, shadow_->sinkTemp());
-        }
-    }
-
     if constexpr (kCheckedBuild) {
         ensureSiliconCurrent();
         ensureSpreaderCurrent();
+        const Celsius sink = spectral_->sinkTemp();
         checkValuesInRange(tSi_.data(), tSi_.size(), kMinSaneTemp,
                            kMaxSaneTemp, "silicon temperature");
         checkValuesInRange(tSp_.data(), tSp_.size(), kMinSaneTemp,
                            kMaxSaneTemp, "spreader temperature");
-        const Celsius sink = spectral_->sinkTemp();
         checkValuesInRange(&sink, 1, kMinSaneTemp, kMaxSaneTemp,
                            "sink temperature");
+
+        shadow_->step(dt);
+        const std::vector<Celsius> &ref_si = shadow_->silicon();
+        const std::vector<Celsius> &ref_sp = shadow_->spreader();
+        double err = std::fabs(sink - shadow_->sinkTemp());
+        for (size_t i = 0; i < tSi_.size(); ++i) {
+            err = std::max(err, std::fabs(tSi_[i] - ref_si[i]));
+            err = std::max(err, std::fabs(tSp_[i] - ref_sp[i]));
+        }
+        boreas_check(err <= shadow_bound + kShadowRoundoff,
+                     "spectral thermal step diverged from the explicit "
+                     "reference by %.6g C, over its proven truncation "
+                     "bound %.6g C", err, shadow_bound);
+        obs::MetricsRegistry::global().add(
+            "thermal.spectral.shadow_steps");
     }
 }
 

@@ -25,7 +25,12 @@
  * path is bitwise identical across hosts. The forward-Euler stencil
  * survives only as the reference it is checked against
  * (thermal/explicit_reference.hh): in checked builds every step is
- * shadow-run through it and must agree within spectralShadowTolerance.
+ * shadow-run through it from the same state and power, and must land
+ * within the reference's proven truncation bound for that step
+ * (ExplicitReference::truncationBound) plus 1e-9 C of round-off. The
+ * spectral step is exact up to round-off, so a larger divergence is a
+ * fault and fails the check; the reference's result is never adopted.
+ * Release builds compile the shadow out.
  *
  * The spectral solver owns the thermal state, in mode space, together
  * with the sink temperature; the grid's silicon and spreader fields are
@@ -83,31 +88,8 @@ struct ThermalParams
 
     Celsius ambient = kAmbient;
 
-    /** Safety factor on the checked-build shadow reference's
-     *  stability bound (ExplicitReference). */
-    double dtSafety = 0.4;
-
     /** Unused; see ThermalSolverKind. */
     ThermalSolverKind solver = ThermalSolverKind::Spectral;
-
-    /**
-     * Checked builds only: shadow-run the forward-Euler reference
-     * alongside every spectral step and fall back to its result if the
-     * solutions diverge by more than spectralShadowTolerance anywhere.
-     * Disable for deliberately-coarse test configs (e.g. second-scale
-     * steps, where the *reference's* truncation error exceeds the
-     * bound).
-     */
-    bool spectralShadowCheck = true;
-    /**
-     * Max abs per-step spectral-vs-explicit divergence, Celsius. The
-     * default is dominated by the *explicit* reference's own O(h)
-     * truncation on the fast post-power-step transient (measured
-     * ~0.19 C at dtSafety 0.4 on fig7-class runs, decaying ~linearly
-     * with the substep; the spectral step itself is within ~0.011 C of
-     * a 16x-refined reference — DESIGN.md §9.5).
-     */
-    double spectralShadowTolerance = 0.25;
 };
 
 /** The thermal solver. */
@@ -255,9 +237,8 @@ class ThermalGrid
     std::unique_ptr<SpectralThermalSolver> spectral_;
     mutable bool siValid_ = true;   ///< tSi_ current?
     mutable bool spValid_ = true;   ///< tSp_ current?
-    bool warnedShadowFallback_ = false;
 
-    /** Checked-build shadow integrator; null when the check is off. */
+    /** Checked-build shadow integrator; null in release builds. */
     std::unique_ptr<ExplicitReference> shadow_;
 
     // Reused by unitTemps() so the per-telemetry-step pipeline loop

@@ -256,15 +256,6 @@ nasSuite()
     return suite;
 }
 
-const WorkloadSpec &
-findNasWorkload(const std::string &name)
-{
-    for (const auto &w : nasSuite())
-        if (w.name == name)
-            return w;
-    boreas_fatal("unknown NAS workload '%s'", name.c_str());
-}
-
 double
 nasTargetInstructionRate(const std::string &name)
 {

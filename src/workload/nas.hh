@@ -29,9 +29,6 @@ constexpr GHz kNasReferenceFrequency = 3.0;
  *  matching the CPA measurement used for calibration). */
 const std::vector<WorkloadSpec> &nasSuite();
 
-/** Lookup by name (e.g. "cg.B"); panics if absent. */
-const WorkloadSpec &findNasWorkload(const std::string &name);
-
 /**
  * The CPA-measured instruction rate (instructions/second) the program
  * is calibrated to at kNasReferenceFrequency. Exposed for the

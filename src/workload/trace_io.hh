@@ -203,12 +203,6 @@ class TraceSource final : public WorkloadSource
         return data_->seed;
     }
 
-    Seconds
-    recordedDt() const
-    {
-        return data_->dt;
-    }
-
     uint64_t
     checksum() const
     {

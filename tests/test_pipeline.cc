@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -285,11 +284,6 @@ TEST(Pipeline, GoldenRunHashes)
         PipelineConfig cfg;
         cfg.thermal.nx = c.grid;
         cfg.thermal.ny = c.grid;
-        // Checked builds shadow every step with forward Euler and adopt
-        // its result past a fixed tolerance, which corehop at 32x32
-        // exceeds; the goldens pin the spectral path in every build.
-        cfg.thermal.spectralShadowTolerance =
-            std::numeric_limits<double>::infinity();
         cfg.warmStart = c.warmStart;
         SimulationPipeline p(cfg);
         auto source = makeWorkloadSource(goldenSpec(c.source));

@@ -208,7 +208,8 @@ TEST_P(SteadyStateFixedPoint, OneExplicitStepMovesNoNode)
     const std::vector<Celsius> sp = grid->spreaderTemps();
     const Celsius sink = grid->sinkTemp();
 
-    ExplicitReference ref(grid->spectralNetwork(), params.dtSafety);
+    ExplicitReference ref(grid->spectralNetwork(),
+                          ExplicitReference::kShadowDtSafety);
     ref.loadState(si, sp, sink);
     ref.setPower(grid->cellPower());
     ref.step(80e-6);

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 
 #include "common/checked.hh"
 #include "common/rng.hh"
@@ -56,7 +55,7 @@ TEST(ThermalGrid, StableDtIsPositiveAndSubMillisecond)
     // network (the substep the checked-build shadow run takes).
     const ThermalGrid grid(fp, smallGrid());
     const ExplicitReference ref(grid.spectralNetwork(),
-                                smallGrid().dtSafety);
+                                ExplicitReference::kShadowDtSafety);
     EXPECT_GT(ref.maxStableDt(), 0.0);
     EXPECT_LT(ref.maxStableDt(), 1e-3);
 }
@@ -126,37 +125,25 @@ TEST(ThermalGrid, SteadyStateIndependentOfPriorState)
 
 TEST(ThermalGrid, SteadyStateIdenticalForEverySolver)
 {
-    // One closed-form solve warm-starts both integrators: no setting of
-    // the forward-Euler reference reaches it, and it is a fixed point
-    // of the grid's spectral step and of the reference's stencil alike.
+    // One closed-form solve warm-starts both integrators: it is a
+    // fixed point of the grid's spectral step and of the reference's
+    // stencil alike, here at a fine 0.025 safety factor.
     const Floorplan fp = buildSkylakeFloorplan();
     std::vector<Watts> power(fp.numUnits(), 0.5);
     power[fp.findUnit(UnitKind::IntALU, 1)] = 4.5;
-    auto solve = [&](const ThermalParams &params) {
-        auto grid = std::make_unique<ThermalGrid>(fp, params);
-        grid->setUnitPower(power);
-        grid->solveSteadyState();
-        return grid;
-    };
-    ThermalParams tuned_params;
-    tuned_params.dtSafety = 0.025;
-    tuned_params.spectralShadowCheck = false;
-    const auto tuned = solve(tuned_params);
-    const auto grid = solve(ThermalParams{});
-    EXPECT_TRUE(grid->siliconTemps() == tuned->siliconTemps());
-    EXPECT_TRUE(grid->spreaderTemps() == tuned->spreaderTemps());
-    EXPECT_EQ(grid->sinkTemp(), tuned->sinkTemp());
+    ThermalGrid grid(fp, ThermalParams{});
+    grid.setUnitPower(power);
+    grid.solveSteadyState();
+    const std::vector<Celsius> held = grid.siliconTemps();
 
-    ExplicitReference euler(grid->spectralNetwork(),
-                            tuned_params.dtSafety);
-    euler.loadState(grid->siliconTemps(), grid->spreaderTemps(),
-                    grid->sinkTemp());
-    euler.setPower(grid->cellPower());
+    ExplicitReference euler(grid.spectralNetwork(), 0.025);
+    euler.loadState(grid.siliconTemps(), grid.spreaderTemps(),
+                    grid.sinkTemp());
+    euler.setPower(grid.cellPower());
     euler.step(80e-6);
-    grid->step(80e-6);
-    const std::vector<Celsius> &held = tuned->siliconTemps();
+    grid.step(80e-6);
     for (size_t i = 0; i < held.size(); ++i) {
-        ASSERT_NEAR(grid->siliconTemps()[i], held[i], 1e-9) << i;
+        ASSERT_NEAR(grid.siliconTemps()[i], held[i], 1e-9) << i;
         ASSERT_NEAR(euler.silicon()[i], held[i], 1e-9) << i;
     }
 }
@@ -301,15 +288,12 @@ class ThermalSubstepInvariance : public ::testing::TestWithParam<double>
 {
   protected:
     /** 5 W on one IntALU; a tight safety factor keeps the reference
-     *  substeps small. The checked-build shadow stays off: on an
-     *  800 us step of this coarse grid the reference's own truncation
-     *  exceeds the shadow tolerance, and adopting its result would
-     *  measure the reference, not the grid. */
+     *  substeps small. */
+    static constexpr double kDtSafety = 0.1;
+
     ThermalSubstepInvariance() : fp_(buildSkylakeFloorplan())
     {
         params_ = smallGrid();
-        params_.dtSafety = 0.1;
-        params_.spectralShadowCheck = false;
         power_.assign(fp_.numUnits(), 0.0);
         power_[fp_.findUnit(UnitKind::IntALU, 0)] = 5.0;
     }
@@ -348,8 +332,8 @@ TEST_P(ThermalSubstepInvariance, ReferenceResultIndependentOfStepPartition)
     // states agree only to that error, not to round-off.
     ThermalGrid grid(fp_, params_);
     grid.setUnitPower(power_);
-    ExplicitReference a(grid.spectralNetwork(), params_.dtSafety);
-    ExplicitReference b(grid.spectralNetwork(), params_.dtSafety);
+    ExplicitReference a(grid.spectralNetwork(), kDtSafety);
+    ExplicitReference b(grid.spectralNetwork(), kDtSafety);
     a.setPower(grid.cellPower());
     b.setPower(grid.cellPower());
 
@@ -418,7 +402,6 @@ TEST(ThermalGrid, IngestMatchesPerUnitScatterBitwise)
         ThermalParams params;
         params.nx = n;
         params.ny = n;
-        params.spectralShadowCheck = false;
         ThermalGrid grid(fp, params);
         SpectralThermalSolver solver(grid.spectralNetwork());
         const std::vector<Celsius> ambient(grid.numCells(),
@@ -476,7 +459,6 @@ TEST(ThermalGrid, UnitTempsMatchPerUnitGatherBitwise)
         ThermalParams params;
         params.nx = n;
         params.ny = n;
-        params.spectralShadowCheck = false;
         ThermalGrid grid(fp, params);
 
         Rng rng(200 + n);
