@@ -27,11 +27,12 @@ main(int argc, char **argv)
     const BenchOptions opts = parseBenchArgs(argc, argv);
     BenchReport report("baseline_cochran_reda");
     auto ctx = buildExperimentContext();
+    const CriticalTempTable th_table = buildThTable(ctx->pipeline);
     const SourceSet set = opts.sources(testWorkloads());
     if (opts.hasWorkload())
         report.workloadSource(set.sources[0]->name());
-    auto th00 = ctx->thController(0.0);
-    auto cr = ctx->crController();
+    auto th00 = thController(th_table, 0.0);
+    auto cr = crController(ctx->trained, th_table);
     auto ml05 = ctx->mlController(0.05);
 
     // Temperature-prediction quality of the phase model on held-out

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "harness.hh"
 #include "report.hh"
@@ -40,11 +39,7 @@ main(int argc, char **argv)
         for (Celsius offset : offsets) {
             tasks.push_back(
                 {source,
-                 [&table, offset] {
-                     return std::make_unique<ThermalThresholdController>(
-                         strfmt("TH-%02d", static_cast<int>(offset)),
-                         table, offset, kBestSensorIndex);
-                 },
+                 [&table, offset] { return thController(table, offset); },
                  kBenchSeed, kBaselineFrequency});
         }
     }

@@ -30,6 +30,7 @@ main(int argc, char **argv)
     const BenchOptions opts = parseBenchArgs(argc, argv);
     BenchReport report("fig7_avg_frequency");
     auto ctx = buildExperimentContext();
+    const CriticalTempTable th_table = buildThTable(ctx->pipeline);
     const SourceSet set = opts.sources(testWorkloads());
     if (opts.hasWorkload())
         report.workloadSource(set.sources[0]->name());
@@ -41,8 +42,8 @@ main(int argc, char **argv)
             return std::make_unique<FixedFrequencyController>(
                 "baseline-3.75", kBaselineFrequency);
         },
-        [&ctx] { return ctx->thController(0.0); },
-        [&ctx] { return ctx->crController(); },
+        [&th_table] { return thController(th_table, 0.0); },
+        [&ctx, &th_table] { return crController(ctx->trained, th_table); },
         [&ctx] { return ctx->mlController(0.0); },
         [&ctx] { return ctx->mlController(0.05); },
         [&ctx] { return ctx->mlController(0.10); },

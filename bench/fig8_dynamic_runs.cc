@@ -24,6 +24,7 @@ main(int argc, char **argv)
     const BenchOptions opts = parseBenchArgs(argc, argv);
     BenchReport report("fig8_dynamic_runs");
     auto ctx = buildExperimentContext();
+    const CriticalTempTable th_table = buildThTable(ctx->pipeline);
     const SourceSet set = opts.sources(testWorkloads());
     if (opts.hasWorkload())
         report.workloadSource(set.sources[0]->name());
@@ -32,7 +33,8 @@ main(int argc, char **argv)
     // whole batch on the pool, then print in the fixed task order.
     std::vector<RunTask> tasks;
     for (const WorkloadSource *source : set.sources) {
-        tasks.push_back({source, [&ctx] { return ctx->thController(0.0); },
+        tasks.push_back({source,
+                         [&th_table] { return thController(th_table, 0.0); },
                          kBenchSeed, kBaselineFrequency});
         tasks.push_back({source,
                          [&ctx] { return ctx->mlController(0.05); },

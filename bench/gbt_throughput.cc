@@ -35,8 +35,6 @@
 #include "harness.hh"
 #include "ml/gbt_flat.hh"
 #include "report.hh"
-#include "workload/registry.hh"
-#include "workload/spec2006.hh"
 
 using namespace boreas;
 using namespace boreas::bench;
@@ -105,19 +103,8 @@ main(int argc, char **argv)
 
     BenchReport report("gbt_throughput");
 
-    // The micro_latency training recipe: the paper's deployed 223-tree
-    // model on a reduced trajectory set (the model shape, not the
-    // dataset size, is what the serving path's cost depends on).
     SimulationPipeline pipeline;
-    TrainerConfig cfg;
-    cfg.data.frequencies = {3.75, 4.25, 4.75};
-    cfg.data.walkSegments = 1;
-    cfg.gbt.nEstimators = 223;
-    const SourceSet train_set = wrapSpecs(
-        {&findWorkload("povray"), &findWorkload("gromacs"),
-         &findWorkload("sjeng"), &findWorkload("mcf")});
-    const TrainedBoreas trained =
-        trainBoreas(pipeline, train_set.sources, cfg);
+    const TrainedBoreas trained = trainServingRecipe(pipeline);
     const GBTRegressor &model = trained.model;
     const FlatGBT flat(model);
 

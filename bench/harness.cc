@@ -101,22 +101,6 @@ ExperimentContext::mlController(double guardband) const
         guardband, kBestSensorIndex);
 }
 
-std::unique_ptr<ThermalThresholdController>
-ExperimentContext::thController(Celsius offset) const
-{
-    return std::make_unique<ThermalThresholdController>(
-        strfmt("TH-%02d", static_cast<int>(offset)), thTable, offset,
-        kBestSensorIndex);
-}
-
-std::unique_ptr<PhaseThermalController>
-ExperimentContext::crController() const
-{
-    return std::make_unique<PhaseThermalController>(
-        "CochranReda", &trained.phaseModel, thTable, 0.0,
-        kBestSensorIndex);
-}
-
 std::unique_ptr<ExperimentContext>
 buildExperimentContext()
 {
@@ -133,8 +117,6 @@ buildExperimentContext()
                                wrapSpecs(trainWorkloads()).sources, tcfg);
     std::fprintf(stderr, "[bench] trained on %zu instances\n",
                  ctx->trained.trainData.numRows());
-
-    ctx->thTable = buildThTable(ctx->pipeline);
     return ctx;
 }
 
@@ -146,6 +128,35 @@ buildThTable(SimulationPipeline &pipeline)
         pipeline, wrapSpecs(trainWorkloads()).sources,
         pipeline.vfTable().frequencies(), kBestSensorIndex, kBenchSeed);
     return study.globalTable();
+}
+
+std::unique_ptr<ThermalThresholdController>
+thController(const CriticalTempTable &table, Celsius offset)
+{
+    return std::make_unique<ThermalThresholdController>(
+        strfmt("TH-%02d", static_cast<int>(offset)), table, offset,
+        kBestSensorIndex);
+}
+
+std::unique_ptr<PhaseThermalController>
+crController(const TrainedBoreas &trained, const CriticalTempTable &table)
+{
+    return std::make_unique<PhaseThermalController>(
+        "CochranReda", &trained.phaseModel, table, 0.0,
+        kBestSensorIndex);
+}
+
+TrainedBoreas
+trainServingRecipe(SimulationPipeline &pipeline)
+{
+    TrainerConfig cfg;
+    cfg.data.frequencies = {3.75, 4.25, 4.75};
+    cfg.data.walkSegments = 1;
+    cfg.gbt.nEstimators = 223; // the paper's deployed size
+    const SourceSet train = wrapSpecs(
+        {&findWorkload("povray"), &findWorkload("gromacs"),
+         &findWorkload("sjeng"), &findWorkload("mcf")});
+    return trainBoreas(pipeline, train.sources, cfg);
 }
 
 namespace

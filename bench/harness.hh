@@ -4,7 +4,9 @@
  * pipeline (PipelineConfig{}, which steps the spectral thermal
  * solver), the full-scale training pass, the TH critical-temperature
  * table, and the standard controller set (TH-00/05/10, ML00/05/10,
- * oracle, global limit, Cochran-Reda).
+ * oracle, global limit, Cochran-Reda). Each product is built only by
+ * the benches that read it: the TH table by those that run a TH or
+ * Cochran-Reda controller.
  *
  * Scale control: set the environment variable BOREAS_BENCH_SCALE to
  * "small" for a quick pass (fewer segments; minutes -> seconds) or
@@ -83,35 +85,46 @@ void requireNoWorkloadOverride(const BenchOptions &options,
 /** The DatasetConfig for a scale. */
 DatasetConfig datasetConfigFor(Scale scale);
 
-/** Everything the evaluation benches share. */
+/**
+ * What every ML evaluation bench reads: the default pipeline and the
+ * serving bundle trained on the Table III training workloads.
+ */
 struct ExperimentContext
 {
     SimulationPipeline pipeline;
     TrainedBoreas trained;
-    CriticalTempTable thTable;          ///< train-set global criticals
 
     /** Guardbanded Boreas controller (name "ML00"/"ML05"/"ML10"). */
     std::unique_ptr<BoreasController> mlController(double guardband) const;
-
-    /** Thermal controller with the given relaxation ("TH-00"...). */
-    std::unique_ptr<ThermalThresholdController>
-    thController(Celsius offset) const;
-
-    /** Cochran-Reda baseline controller. */
-    std::unique_ptr<PhaseThermalController> crController() const;
 };
 
-/**
- * Build the shared context: train Boreas on the Table III training
- * workloads and derive the TH table. Prints progress to stderr.
- */
+/** Build the shared context: train Boreas. Prints progress to stderr. */
 std::unique_ptr<ExperimentContext> buildExperimentContext();
 
 /**
- * Derive the TH critical-temperature table alone (for benches that do
- * not need the trained ML model).
+ * Derive the TH critical-temperature table: the train-set global
+ * criticals at the best sensor. Prints progress to stderr.
  */
 CriticalTempTable buildThTable(SimulationPipeline &pipeline);
+
+/** Thermal controller on `table` with the given relaxation
+ *  ("TH-00"...). The controller keeps its own copy of the table. */
+std::unique_ptr<ThermalThresholdController>
+thController(const CriticalTempTable &table, Celsius offset);
+
+/** Cochran-Reda baseline controller on `trained`'s phase model (which
+ *  must outlive it) and its own copy of `table`. */
+std::unique_ptr<PhaseThermalController>
+crController(const TrainedBoreas &trained, const CriticalTempTable &table);
+
+/**
+ * The serving benches' training recipe (micro_latency, gbt_throughput):
+ * the paper's deployed 223-tree model on a reduced trajectory set, one
+ * walk segment at 3.75 / 4.25 / 4.75 GHz over povray, gromacs, sjeng
+ * and mcf. The serving path's cost depends on the model's shape, not on
+ * the dataset's size, so the recipe ignores BOREAS_BENCH_SCALE.
+ */
+TrainedBoreas trainServingRecipe(SimulationPipeline &pipeline);
 
 /** One closed-loop evaluation row. */
 struct EvalRow

@@ -29,6 +29,7 @@
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "control/boreas_controller.hh"
+#include "harness.hh"
 #include "ml/feature_schema.hh"
 #include "ml/gbt_flat.hh"
 #include "report.hh"
@@ -37,6 +38,7 @@
 #include "workload/spec2006.hh"
 
 using namespace boreas;
+using boreas::bench::trainServingRecipe;
 
 namespace
 {
@@ -54,14 +56,7 @@ struct MicroState
 {
     MicroState()
     {
-        TrainerConfig cfg;
-        cfg.data.frequencies = {3.75, 4.25, 4.75};
-        cfg.data.walkSegments = 1;
-        cfg.gbt.nEstimators = 223; // the paper's deployed size
-        const SourceSet train = wrapSpecs(
-            {&findWorkload("povray"), &findWorkload("gromacs"),
-             &findWorkload("sjeng"), &findWorkload("mcf")});
-        trained = trainBoreas(pipeline, train.sources, cfg);
+        trained = trainServingRecipe(pipeline);
         source = g_workload_spec.empty()
             ? makeSyntheticSource(findWorkload("bzip2"))
             : makeWorkloadSource(g_workload_spec);

@@ -124,12 +124,13 @@ main(int argc, char **argv)
 
     // --- fig7-style closed-loop evaluation of every scenario. ---
     auto ctx = buildExperimentContext();
+    const CriticalTempTable th_table = buildThTable(ctx->pipeline);
     std::vector<ControllerFactory> models{
         [] {
             return std::make_unique<FixedFrequencyController>(
                 "baseline-3.75", kBaselineFrequency);
         },
-        [&ctx] { return ctx->thController(0.0); },
+        [&th_table] { return thController(th_table, 0.0); },
         [&ctx] { return ctx->mlController(0.05); },
     };
     const auto grid =

@@ -111,7 +111,7 @@ class SimulationPipeline
     const VFTable &vfTable() const { return vf_; }
     const SeverityModel &severityModel() const { return severity_; }
     const ThermalGrid &thermalGrid() const { return grid_; }
-    SensorBank &sensorBank() { return sensors_; }
+    const SensorBank &sensorBank() const { return sensors_; }
 
     /**
      * Begin a run driven by the given workload source. Replaces the

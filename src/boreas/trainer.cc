@@ -26,9 +26,6 @@ trainBoreas(SimulationPipeline &pipeline,
     boreas_assert(out.fullTrainData.numRows() > 0,
                   "empty training dataset");
 
-    // Full-schema model: used for the Sec. IV-B importance study.
-    out.fullModel.train(out.fullTrainData, config.gbt);
-
     // Deployed model on the selected columns.
     out.featureNames = config.deployedFeatures.empty()
         ? deployedFeatureNames() : config.deployedFeatures;

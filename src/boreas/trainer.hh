@@ -1,9 +1,9 @@
 /**
  * @file
  * The Boreas training recipe (Fig. 3, Secs. IV-A/IV-B): generate the
- * telemetry dataset from the training workloads, fit the full-schema GBT
- * for the feature-importance study, and fit the deployed model on the
- * selected feature subset.
+ * telemetry dataset from the training workloads, fit the deployed model
+ * on the selected feature subset, and fit the Cochran-Reda baseline on
+ * the same trajectories.
  */
 
 #pragma once
@@ -31,15 +31,18 @@ struct TrainerConfig
     std::vector<std::string> deployedFeatures;
 };
 
-/** Everything the evaluation needs from one training pass. */
+/**
+ * What the controllers serve from one training pass, plus the datasets
+ * it was fitted on. The model over all 78 attributes is not part of
+ * it: only the Sec. IV-B importance study reads one, and fits it from
+ * fullTrainData.
+ */
 struct TrainedBoreas
 {
     /** Deployed model (selected features). */
     GBTRegressor model;
     /** Column names of the deployed model, in order. */
     std::vector<std::string> featureNames;
-    /** Model over all 78 attributes (feature-importance study). */
-    GBTRegressor fullModel;
     /** The raw training data (full schema). */
     Dataset fullTrainData;
     /** Training data restricted to the deployed columns. */
@@ -68,16 +71,16 @@ double evaluateMse(const GBTRegressor &model,
                    const Dataset &full_data);
 
 /**
- * Persist the deployable parts of a training pass: the deployed GBT,
- * its feature names, and the Cochran-Reda baseline model. Datasets and
- * the 78-feature study model are not persisted (regenerate them).
+ * Persist a training pass: the deployed GBT, its feature names, and the
+ * Cochran-Reda baseline model. The datasets are not persisted
+ * (regenerate them).
  */
 void saveTrainedBoreas(const TrainedBoreas &trained, std::ostream &os);
 
 /**
- * Restore a persisted training pass. The returned bundle is ready to
- * drive BoreasController / PhaseThermalController; its datasets are
- * empty and fullModel is untrained.
+ * Restore a persisted training pass. The returned bundle drives
+ * BoreasController / PhaseThermalController exactly as the trained one
+ * does; it differs from it only in its datasets, which are empty.
  */
 TrainedBoreas loadTrainedBoreas(std::istream &is);
 

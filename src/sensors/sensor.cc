@@ -20,7 +20,6 @@ ThermalSensor::ThermalSensor(std::string name, Point location,
     // during warm-up — an under-delay the controller never sees on
     // silicon, where the sensor chain latency exists from power-on.
     history_.assign(static_cast<size_t>(params_.delaySteps) + 1, kAmbient);
-    filled_ = history_.size();
 }
 
 void
@@ -41,22 +40,15 @@ ThermalSensor::sample(const ThermalGrid &grid, Seconds dt, Rng &rng)
 
     history_[head_] = value;
     head_ = (head_ + 1) % history_.size();
-    filled_ = std::min(filled_ + 1, history_.size());
 }
 
 Celsius
 ThermalSensor::reading() const
 {
-    if (filled_ == 0)
-        return filtered_;
-    // The newest sample sits just behind head_; the delayed reading is
-    // delaySteps older (clamped to the oldest sample we have).
-    const size_t depth = std::min(
-        static_cast<size_t>(params_.delaySteps), filled_ - 1);
-    const size_t newest = (head_ + history_.size() - 1) % history_.size();
-    const size_t idx =
-        (newest + history_.size() - depth) % history_.size();
-    return history_[idx];
+    // The history holds delaySteps + 1 samples and is always full, so
+    // the sample delaySteps older than the newest (just behind head_)
+    // is the oldest one, the next to be overwritten: head_ itself.
+    return history_[head_];
 }
 
 void
@@ -64,7 +56,6 @@ ThermalSensor::reset(Celsius temp)
 {
     std::fill(history_.begin(), history_.end(), temp);
     head_ = 0;
-    filled_ = history_.size();
     filtered_ = temp;
     lastTrue_ = temp;
 }

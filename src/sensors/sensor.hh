@@ -65,7 +65,6 @@ class ThermalSensor
 
     std::vector<Celsius> history_; ///< ring buffer of filtered samples
     size_t head_ = 0;              ///< next write position
-    size_t filled_ = 0;
     Celsius filtered_ = kAmbient;
     Celsius lastTrue_ = kAmbient;
 };

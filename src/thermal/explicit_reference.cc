@@ -159,6 +159,9 @@ ExplicitReference::ExplicitReference(const SpectralNetwork &net,
     power_.assign(n, 0.0);
     newSi_.assign(n, 0.0);
     newSp_.assign(n, 0.0);
+    curvSi_.assign(n, 0.0);
+    curvSp_.assign(n, 0.0);
+    noPower_.assign(n, 0.0);
 }
 
 void
@@ -204,27 +207,27 @@ ExplicitReference::step(Seconds dt)
 }
 
 double
-ExplicitReference::truncationBound(Seconds dt) const
+ExplicitReference::truncationBound(Seconds dt)
 {
     boreas_assert(dt > 0.0, "bad dt");
-    const size_t n = si_.size();
     const double r_si = 1.0 / net_.cSi;
     const double r_sp = 1.0 / net_.cSp;
     const double r_sink = 1.0 / net_.sinkCapacitance;
-    std::vector<double> dsi(n), dsp(n), ddsi(n), ddsp(n);
-    const std::vector<double> no_power(n, 0.0);
 
     // x' = A x + b under the loaded state and drive; then x'' = A x',
     // the same sweep over the rates, undriven.
     const double dsink = sweep<false>(net_, r_si, r_sp, r_sink, si_.data(),
                                       sp_.data(), sink_, power_.data(),
-                                      net_.ambient, dsi.data(), dsp.data());
+                                      net_.ambient, newSi_.data(),
+                                      newSp_.data());
     double norm = std::fabs(sweep<false>(net_, r_si, r_sp, r_sink,
-                                         dsi.data(), dsp.data(), dsink,
-                                         no_power.data(), 0.0,
-                                         ddsi.data(), ddsp.data()));
-    for (size_t i = 0; i < n; ++i)
-        norm = std::max({norm, std::fabs(ddsi[i]), std::fabs(ddsp[i])});
+                                         newSi_.data(), newSp_.data(),
+                                         dsink, noPower_.data(), 0.0,
+                                         curvSi_.data(), curvSp_.data()));
+    for (size_t i = 0; i < si_.size(); ++i) {
+        norm = std::max({norm, std::fabs(curvSi_[i]),
+                         std::fabs(curvSp_[i])});
+    }
 
     const double h = dt / substeps(dt);
     return 0.5 * h * dt * norm;

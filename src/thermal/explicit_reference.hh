@@ -68,8 +68,9 @@ class ExplicitReference
      * <= 1, so the substeps' local errors (each <= h^2/2 max ||x''||)
      * add without growing; and x''(t) = e^{At} x''(0), where e^{At}
      * never expands the max-norm, so x'' is largest at the start.
+     * Computes x' and x'' in member scratch, so it allocates nothing.
      */
-    double truncationBound(Seconds dt) const;
+    double truncationBound(Seconds dt);
 
     /** Silicon-layer temperatures, row-major (y * nx + x). */
     const std::vector<Celsius> &silicon() const { return si_; }
@@ -92,9 +93,15 @@ class ExplicitReference
     Celsius sink_ = 0.0;
     std::vector<Watts> power_;
 
-    // Substep double buffers, swapped with the state each substep.
+    // Substep double buffers, swapped with the state each substep;
+    // truncationBound() stores x' in them, since step() overwrites them
+    // before reading.
     std::vector<double> newSi_;
     std::vector<double> newSp_;
+    // truncationBound()'s x'' and the zero drive it is computed under.
+    std::vector<double> curvSi_;
+    std::vector<double> curvSp_;
+    std::vector<Watts> noPower_;
 };
 
 } // namespace boreas

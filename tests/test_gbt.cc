@@ -7,11 +7,12 @@
 #include <sstream>
 #include <string>
 
-#include "common/hash.hh"
 #include "common/rng.hh"
 #include "ml/gbt.hh"
+#include "test_util.hh"
 
 using namespace boreas;
+using boreas::test::modelDigest;
 
 namespace
 {
@@ -64,19 +65,6 @@ tieData(size_t n, uint64_t seed)
         d.addRow({a, b, c}, y, static_cast<int>(i % 4));
     }
     return d;
-}
-
-/** FNV-1a over a model's save() text: every split, threshold, leaf
- *  and gain at full round-trip precision. */
-uint64_t
-modelDigest(const GBTRegressor &model)
-{
-    std::stringstream buf;
-    model.save(buf);
-    const std::string text = buf.str();
-    Fnv1a h;
-    h.addBytes(text.data(), text.size());
-    return h.digest();
 }
 
 } // namespace

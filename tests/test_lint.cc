@@ -3,7 +3,7 @@
  * file under tests/lint_fixtures/ and stay silent on clean code
  * (including the src/common/rng and src/common/logging exemptions and
  * the inline allow() markers), plus the repo-level passes — layering
- * DAG, include cycles — and the SARIF/baseline reporting layer.
+ * DAG, include cycles — and the SARIF reporting layer.
  */
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "lint/baseline.hh"
 #include "lint/linter.hh"
 #include "lint/sarif.hh"
 
@@ -511,7 +510,7 @@ TEST(LintGraph, AcyclicChainHasNoCycleFindings)
 }
 
 // ------------------------------------------------------------------ //
-// SARIF + baseline reporting
+// SARIF reporting
 // ------------------------------------------------------------------ //
 
 TEST(LintSarif, MatchesGoldenOutput)
@@ -550,35 +549,8 @@ TEST(LintSarif, EscapesControlAndQuoteCharacters)
               std::string::npos);
 }
 
-TEST(LintBaseline, SuppressesListedRuleFilePairs)
-{
-    const auto base = boreas::lint::parseBaseline(
-        "# acknowledged debt\n"
-        "unordered-container src/foo.cc\n");
-    const std::vector<Violation> vs = {
-        {"src/foo.cc", 10, "unordered-container", "m"},
-        {"src/foo.cc", 11, "raw-random", "m"},
-        {"src/bar.cc", 12, "unordered-container", "m"},
-    };
-    const auto left = boreas::lint::filterBaselined(vs, base);
-    ASSERT_EQ(left.size(), 2u);
-    EXPECT_EQ(left[0].rule, "raw-random");
-    EXPECT_EQ(left[1].file, "src/bar.cc");
-}
-
-TEST(LintBaseline, WriteParseRoundTrip)
-{
-    const std::vector<Violation> vs = {
-        {"src/foo.cc", 10, "unordered-container", "m"},
-        {"src/bar.cc", 3, "wall-clock", "m"},
-    };
-    const auto rt = boreas::lint::parseBaseline(
-        boreas::lint::writeBaseline(vs));
-    EXPECT_TRUE(boreas::lint::filterBaselined(vs, rt).empty());
-}
-
 // ------------------------------------------------------------------ //
-// The acceptance gate: the whole repo, full pipeline, empty baseline
+// The acceptance gate: the whole repo, full pipeline, no findings
 // ------------------------------------------------------------------ //
 
 TEST(LintRepo, WholeRepoPassesFullPipeline)

@@ -15,14 +15,17 @@
 
 using namespace boreas;
 using boreas::test::fastPipelineConfig;
+using boreas::test::modelDigest;
 using boreas::test::program;
 using boreas::test::tinyTrainerConfig;
 
 namespace
 {
 
-/** Train once per test binary; training is the expensive part. */
-struct TrainerFixture : public ::testing::Test
+/** Train once per test binary; training is the expensive part. The
+ *  78-attribute model of the importance study is fitted here, from the
+ *  bundle's full-schema dataset, as table4_feature_importance does. */
+struct Trainer : public ::testing::Test
 {
     static void
     SetUpTestSuite()
@@ -37,45 +40,59 @@ struct TrainerFixture : public ::testing::Test
         trained = std::make_unique<TrainedBoreas>(
             trainBoreas(*pipeline, train_set.sources,
                         tinyTrainerConfig()));
+        studyModel = std::make_unique<GBTRegressor>();
+        studyModel->train(trained->fullTrainData, tinyTrainerConfig().gbt);
     }
 
     static void
     TearDownTestSuite()
     {
+        studyModel.reset();
         trained.reset();
         pipeline.reset();
     }
 
     static std::unique_ptr<SimulationPipeline> pipeline;
     static std::unique_ptr<TrainedBoreas> trained;
+    static std::unique_ptr<GBTRegressor> studyModel;
 };
 
-std::unique_ptr<SimulationPipeline> TrainerFixture::pipeline;
-std::unique_ptr<TrainedBoreas> TrainerFixture::trained;
+std::unique_ptr<SimulationPipeline> Trainer::pipeline;
+std::unique_ptr<TrainedBoreas> Trainer::trained;
+std::unique_ptr<GBTRegressor> Trainer::studyModel;
 
 } // namespace
 
-TEST_F(TrainerFixture, ModelsAreTrained)
+TEST_F(Trainer, ModelsAreTrained)
 {
     EXPECT_TRUE(trained->model.trained());
-    EXPECT_TRUE(trained->fullModel.trained());
+    EXPECT_TRUE(studyModel->trained());
     EXPECT_TRUE(trained->phaseModel.trained());
-    EXPECT_EQ(trained->fullModel.numFeatures(), kNumFullFeatures);
+    EXPECT_EQ(studyModel->numFeatures(), kNumFullFeatures);
     EXPECT_EQ(trained->model.numFeatures(),
               deployedFeatureNames().size());
 }
 
-TEST_F(TrainerFixture, TrainMseIsAccurate)
+TEST_F(Trainer, BundleGoldenDigests)
+{
+    // Pinned golden values of the fixture's deployed model and of its
+    // 78-attribute study model. The two fits are independent, so
+    // neither digest may move when the other fit moves or goes away.
+    EXPECT_EQ(modelDigest(trained->model), 0xe8d875159549d123ULL);
+    EXPECT_EQ(modelDigest(*studyModel), 0x7178980ffea78842ULL);
+}
+
+TEST_F(Trainer, TrainMseIsAccurate)
 {
     // The paper reports MSE ~0.0094; at test scale we accept anything
     // clearly predictive.
     EXPECT_LT(trained->model.mse(trained->trainData), 0.02);
 }
 
-TEST_F(TrainerFixture, TemperatureDominatesImportance)
+TEST_F(Trainer, TemperatureDominatesImportance)
 {
     // Table IV: temperature_sensor_data carries by far the most gain.
-    const auto gains = trained->fullModel.featureImportance();
+    const auto gains = studyModel->featureImportance();
     const double temp_gain = gains[kTempFeatureIndex];
     for (size_t i = 0; i < gains.size(); ++i) {
         if (i == kTempFeatureIndex)
@@ -85,19 +102,19 @@ TEST_F(TrainerFixture, TemperatureDominatesImportance)
     EXPECT_GT(temp_gain, 0.3);
 }
 
-TEST_F(TrainerFixture, SelectTopFeaturesAscendingAndContainsTemp)
+TEST_F(Trainer, SelectTopFeaturesAscendingAndContainsTemp)
 {
-    const auto top = selectTopFeatures(trained->fullModel, 20);
+    const auto top = selectTopFeatures(*studyModel, 20);
     ASSERT_EQ(top.size(), 20u);
     // Ascending importance: the last entry must be the temperature.
     EXPECT_EQ(top.back(), "temperature_sensor_data");
-    const auto gains = trained->fullModel.featureImportance();
+    const auto gains = studyModel->featureImportance();
     const auto idx = featureIndicesOf(top);
     for (size_t i = 1; i < idx.size(); ++i)
         EXPECT_LE(gains[idx[i - 1]], gains[idx[i]]);
 }
 
-TEST_F(TrainerFixture, GeneralizesToUnseenWorkload)
+TEST_F(Trainer, GeneralizesToUnseenWorkload)
 {
     // Build an evaluation set from a *test* workload and check the
     // deployed model predicts severity with useful accuracy.
@@ -112,7 +129,7 @@ TEST_F(TrainerFixture, GeneralizesToUnseenWorkload)
     EXPECT_LT(mse, 0.05);
 }
 
-TEST_F(TrainerFixture, Ml05ControlsUnseenWorkloadEffectively)
+TEST_F(Trainer, Ml05ControlsUnseenWorkloadEffectively)
 {
     // At unit-test scale (coarse grid, reduced data) we assert the
     // structural properties rather than the full-scale zero-incursion
@@ -136,7 +153,7 @@ TEST_F(TrainerFixture, Ml05ControlsUnseenWorkloadEffectively)
     EXPECT_LT(run.incursionSteps(), wild.incursionSteps());
 }
 
-TEST_F(TrainerFixture, GuardbandTradesFrequencyForSafety)
+TEST_F(Trainer, GuardbandTradesFrequencyForSafety)
 {
     BoreasController ml00("ML00", &trained->model,
                           trained->featureNames, 0.0,
@@ -154,7 +171,7 @@ TEST_F(TrainerFixture, GuardbandTradesFrequencyForSafety)
     EXPECT_LT(run10.peakSeverity(), 1.0);
 }
 
-TEST_F(TrainerFixture, ThermalControllerFromStudyIsSafe)
+TEST_F(Trainer, ThermalControllerFromStudyIsSafe)
 {
     // Derive the TH-00 table from the training workloads, then run a
     // test workload closed-loop.

@@ -3,18 +3,23 @@
  * Shared helpers for the Boreas test suite: a reduced-cost pipeline
  * configuration (coarser thermal grid) and a tiny trainer configuration
  * so integration tests run in seconds, plus the one-program source
- * wrapper the run APIs take. Physics-calibration assertions
+ * wrapper the run APIs take and the model digest the golden tests
+ * pin. Physics-calibration assertions
  * (exact severity values) only hold at the default 64x64 grid and are
  * confined to the tests that use defaults.
  */
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "boreas/pipeline.hh"
 #include "boreas/trainer.hh"
+#include "common/hash.hh"
+#include "ml/gbt.hh"
 #include "workload/registry.hh"
 #include "workload/spec2006.hh"
 
@@ -49,6 +54,19 @@ inline std::unique_ptr<WorkloadSource>
 program(const std::string &name)
 {
     return makeSyntheticSource(findWorkload(name));
+}
+
+/** FNV-1a over a model's save() text: every split, threshold, leaf
+ *  and gain at full round-trip precision. */
+inline uint64_t
+modelDigest(const GBTRegressor &model)
+{
+    std::stringstream buf;
+    model.save(buf);
+    const std::string text = buf.str();
+    Fnv1a h;
+    h.addBytes(text.data(), text.size());
+    return h.digest();
 }
 
 } // namespace boreas::test

@@ -8,13 +8,9 @@
  *   --repo-root DIR        report repo-relative paths and run the
  *                          include-graph pass (layering + cycles)
  *   --sarif FILE           also write findings as SARIF 2.1.0
- *   --baseline FILE        suppress findings listed in the baseline
- *                          (checked-in acknowledged debt)
- *   --write-baseline FILE  write the current findings as a baseline
- *                          and exit 0 (debt-adoption escape hatch)
  *
  * Prints one "file:line: [rule] message" per violation and exits
- * nonzero if any non-baselined were found. Registered as the
+ * nonzero if any were found. Registered as the
  * `boreas_lint` ctest check over the whole repo.
  */
 
@@ -24,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/baseline.hh"
 #include "lint/linter.hh"
 #include "lint/sarif.hh"
 
@@ -44,7 +39,6 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--repo-root DIR] [--sarif FILE] "
-                 "[--baseline FILE] [--write-baseline FILE] "
                  "<file-or-dir>...\n",
                  argv0);
     return 2;
@@ -59,7 +53,7 @@ main(int argc, char **argv)
     // consumes it. boreas-lint: allow(wall-clock)
     const auto t0 = std::chrono::steady_clock::now();
 
-    std::string repo_root, sarif_path, baseline_path, write_baseline;
+    std::string repo_root, sarif_path;
     std::vector<std::string> roots;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -76,16 +70,6 @@ main(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             sarif_path = v;
-        } else if (arg == "--baseline") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            baseline_path = v;
-        } else if (arg == "--write-baseline") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            write_baseline = v;
         } else if (!arg.empty() && arg[0] == '-') {
             return usage(argv[0]);
         } else {
@@ -101,38 +85,8 @@ main(int argc, char **argv)
     const boreas::lint::TreeLintResult result =
         boreas::lint::lintTree(roots, opts);
 
-    if (!write_baseline.empty()) {
-        const std::string text =
-            boreas::lint::writeBaseline(result.violations);
-        if (!writeFile(write_baseline, text)) {
-            std::fprintf(stderr, "boreas_lint: cannot write %s\n",
-                         write_baseline.c_str());
-            return 2;
-        }
-        std::printf("boreas_lint: wrote baseline (%zu finding(s)) "
-                    "to %s\n",
-                    result.violations.size(), write_baseline.c_str());
-        return 0;
-    }
-
-    std::vector<boreas::lint::Violation> violations =
+    const std::vector<boreas::lint::Violation> &violations =
         result.violations;
-    size_t baselined = 0;
-    if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path, std::ios::binary);
-        if (!in) {
-            std::fprintf(stderr, "boreas_lint: cannot read %s\n",
-                         baseline_path.c_str());
-            return 2;
-        }
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        const boreas::lint::Baseline base =
-            boreas::lint::parseBaseline(text);
-        violations = boreas::lint::filterBaselined(violations, base);
-        baselined = result.violations.size() - violations.size();
-    }
-
     if (!sarif_path.empty() &&
         !writeFile(sarif_path, boreas::lint::toSarif(violations))) {
         std::fprintf(stderr, "boreas_lint: cannot write %s\n",
@@ -150,13 +104,11 @@ main(int argc, char **argv)
     if (!violations.empty()) {
         std::fprintf(stderr,
                      "boreas_lint: %zu violation(s) in %d file(s) "
-                     "(%zu baselined) [%.0f ms]\n",
-                     violations.size(), result.filesScanned,
-                     baselined, ms);
+                     "[%.0f ms]\n",
+                     violations.size(), result.filesScanned, ms);
         return 1;
     }
-    std::printf("boreas_lint: clean (%d files, %zu baselined, "
-                "%.0f ms)\n",
-                result.filesScanned, baselined, ms);
+    std::printf("boreas_lint: clean (%d files, %.0f ms)\n",
+                result.filesScanned, ms);
     return 0;
 }
