@@ -5,6 +5,7 @@
 #include <istream>
 #include <numeric>
 #include <ostream>
+#include <string>
 
 #include "common/checked.hh"
 #include "common/iofmt.hh"
@@ -48,17 +49,21 @@ GBTTree::depth() const
 namespace
 {
 
+/** Most bins a feature can take: every bin code is one byte. */
+constexpr size_t kMaxBins = 256;
+
 /** Quantile-binned view of the training features. */
 struct BinnedData
 {
     size_t numRows = 0;
     size_t numFeatures = 0;
-    std::vector<uint16_t> codes;            ///< row-major bin codes
+    std::vector<uint8_t> cols;              ///< feature-major codes
     std::vector<std::vector<double>> cuts;  ///< per-feature upper edges
 
-    uint16_t code(size_t r, size_t f) const
+    /** Feature f's codes, one per row. */
+    const uint8_t *col(size_t f) const
     {
-        return codes[r * numFeatures + f];
+        return cols.data() + f * numRows;
     }
 };
 
@@ -70,7 +75,7 @@ binFeatures(const Dataset &data, int max_bins)
     b.numRows = data.numRows();
     b.numFeatures = data.numFeatures();
     b.cuts.resize(b.numFeatures);
-    b.codes.assign(b.numRows * b.numFeatures, 0);
+    b.cols.resize(b.numRows * b.numFeatures);
 
     // Features are independent: fan the binning out over feature
     // chunks. The column/sorted scratch buffers live per chunk and are
@@ -97,23 +102,17 @@ binFeatures(const Dataset &data, int max_bins)
                         cuts.push_back(v);
                 }
 
+                uint8_t *codes = b.cols.data() + f * b.numRows;
                 for (size_t r = 0; r < b.numRows; ++r) {
                     const auto it = std::lower_bound(
                         cuts.begin(), cuts.end(), col[r]);
-                    b.codes[r * b.numFeatures + f] =
-                        static_cast<uint16_t>(it - cuts.begin());
+                    codes[r] = static_cast<uint8_t>(it - cuts.begin());
                 }
                 b.cuts[f] = std::move(cuts);
             }
         });
     return b;
 }
-
-struct BinStats
-{
-    double g = 0.0;
-    double h = 0.0;
-};
 
 double
 leafWeight(double g, double h, double lambda)
@@ -127,6 +126,15 @@ similarity(double g, double h, double lambda)
     return g * g / (h + lambda);
 }
 
+/** tryLoad's failure exit: report `message` through `error`. */
+bool
+loadError(std::string *error, const std::string &message)
+{
+    if (error)
+        *error = message;
+    return false;
+}
+
 } // namespace
 
 void
@@ -135,6 +143,10 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
     boreas_assert(data.numRows() > 0, "empty training set");
     boreas_assert(params.maxDepth >= 1 && params.nEstimators >= 1,
                   "bad GBT params");
+    boreas_assert(params.maxBins >= 2 &&
+                  params.maxBins <= static_cast<int>(kMaxBins),
+                  "maxBins %d outside [2, %zu]: bin codes are one byte",
+                  params.maxBins, kMaxBins);
     params_ = params;
     numFeatures_ = data.numFeatures();
     trees_.clear();
@@ -144,15 +156,23 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
 
     const BinnedData binned = binFeatures(data, params.maxBins);
 
-    // Flat per-feature histogram layout, allocated once and reused for
-    // every node of every tree (the per-node vector-of-vectors was a
-    // dominant allocation cost at depth > 3).
+    // Split-search tables, allocated once and reused for every node of
+    // every tree: feature f's bins sit at [f * kMaxBins, f * kMaxBins +
+    // nbins(f)) of the gradient sums and of the row counts (every
+    // row's hessian is 1). The fixed stride puts each lane of a block
+    // at a constant offset from the block's base.
     const size_t nf = binned.numFeatures;
-    std::vector<size_t> bin_offset(nf + 1, 0);
-    for (size_t f = 0; f < nf; ++f)
-        bin_offset[f + 1] = bin_offset[f] + binned.cuts[f].size() + 1;
-    const size_t total_bins = bin_offset[nf];
-    std::vector<BinStats> hist(total_bins);
+    auto nbins = [&](size_t f) { return binned.cuts[f].size() + 1; };
+    std::vector<double> hist_g(nf * kMaxBins);
+    std::vector<uint32_t> hist_n(nf * kMaxBins);
+
+    // Histograms are built in blocks of at most kBlockWidth features,
+    // split evenly: a block's sums and counts (18 KB) stay in L1 while
+    // the node's rows stream past, and the 21-column deployed model
+    // still yields four blocks to fan out.
+    constexpr size_t kBlockWidth = 6;
+    const size_t num_blocks = (nf + kBlockWidth - 1) / kBlockWidth;
+    auto block_begin = [&](size_t blk) { return blk * nf / num_blocks; };
 
     // Below this many (row, feature) visits a node's histogram/scan is
     // cheaper serial than fanned out.
@@ -160,6 +180,7 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
 
     std::vector<double> pred(n, base_);
     std::vector<double> grad(n, 0.0);
+    std::vector<double> gord(n); // a node's gradients in `rows` order
     std::vector<int> rows(n);
 
     for (int t = 0; t < params.nEstimators; ++t) {
@@ -211,33 +232,56 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
                 continue; // stays a leaf
             }
 
-            // Histograms per feature, into the flat scratch buffer.
-            // Per (feature, bin) the accumulation order is always row
-            // order, so serial and fanned-out builds agree bitwise.
+            // Histograms per feature block. A block zeroes its own
+            // bins, then walks the node's rows once and adds each
+            // gradient to every feature of the block: the features'
+            // chains are independent, and per (feature, bin) the
+            // accumulation order is still row order, so any blocking
+            // and any fan-out agree bitwise.
             const size_t node_rows = task.end - task.begin;
             const bool wide = node_rows * nf >= kMinParallelWork;
-            std::fill(hist.begin(), hist.end(), BinStats{});
-            auto build_hist = [&](int64_t f_lo, int64_t f_hi) {
-                for (size_t k = task.begin; k < task.end; ++k) {
-                    const int r = rows[k];
-                    const double g = grad[r];
-                    const uint16_t *codes = binned.codes.data() +
-                        static_cast<size_t>(r) * nf;
-                    for (int64_t f = f_lo; f < f_hi; ++f) {
-                        BinStats &bs =
-                            hist[bin_offset[f] + codes[f]];
-                        bs.g += g;
-                        bs.h += 1.0;
+            const int *node_idx = rows.data() + task.begin;
+            auto build_hist = [&](int64_t blk_lo, int64_t blk_hi) {
+                for (int64_t blk = blk_lo; blk < blk_hi; ++blk) {
+                    const size_t f_lo = block_begin(blk);
+                    const size_t width = block_begin(blk + 1) - f_lo;
+                    double *block_g = hist_g.data() + f_lo * kMaxBins;
+                    uint32_t *block_n = hist_n.data() + f_lo * kMaxBins;
+                    for (size_t j = 0; j < width; ++j) {
+                        std::fill_n(block_g + j * kMaxBins,
+                                    nbins(f_lo + j), 0.0);
+                        std::fill_n(block_n + j * kMaxBins,
+                                    nbins(f_lo + j), 0u);
+                    }
+                    // The block's code columns are adjacent, n apart.
+                    const uint8_t *block_codes = binned.col(f_lo);
+                    for (size_t k = 0; k < node_rows; ++k) {
+                        const uint8_t *codes = block_codes + node_idx[k];
+                        const double g = gord[k];
+                        // Unrolled over the widest block; the width
+                        // test goes the same way for a whole block.
+#pragma GCC unroll kBlockWidth
+                        for (size_t j = 0; j < kBlockWidth; ++j) {
+                            if (j < width) {
+                                const size_t bin =
+                                    j * kMaxBins + codes[j * n];
+                                block_g[bin] += g;
+                                ++block_n[bin];
+                            }
+                        }
                     }
                 }
             };
             {
                 obs::ScopedTimer timer("gbt.histogram");
+                for (size_t k = 0; k < node_rows; ++k)
+                    gord[k] = grad[node_idx[k]];
                 if (wide) {
                     ThreadPool::global().parallelFor(
-                        0, static_cast<int64_t>(nf), 1, build_hist);
+                        0, static_cast<int64_t>(num_blocks), 1,
+                        build_hist);
                 } else {
-                    build_hist(0, static_cast<int64_t>(nf));
+                    build_hist(0, static_cast<int64_t>(num_blocks));
                 }
             }
 
@@ -258,12 +302,13 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
                 for (int64_t f = f_lo; f < f_hi; ++f) {
                     SplitCand best;
                     double gl = 0.0, hl = 0.0;
-                    const BinStats *fh = hist.data() + bin_offset[f];
-                    const size_t nbins =
-                        bin_offset[f + 1] - bin_offset[f];
-                    for (size_t bin = 0; bin + 1 < nbins; ++bin) {
-                        gl += fh[bin].g;
-                        hl += fh[bin].h;
+                    const double *fg = hist_g.data() + f * kMaxBins;
+                    const uint32_t *fn = hist_n.data() + f * kMaxBins;
+                    for (size_t bin = 0; bin + 1 < nbins(f); ++bin) {
+                        // Counts are exact integers, so hl takes the
+                        // same values as a sum of 1.0 per row.
+                        gl += fg[bin];
+                        hl += static_cast<double>(fn[bin]);
                         const double gr = gsum - gl;
                         const double hr = hsum - hl;
                         if (hl < params.minChildWeight ||
@@ -311,12 +356,10 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
             // finite x, code <= best_bin exactly when
             // x <= cuts[best_bin] (binFeatures' lower_bound), the
             // node's threshold: the same side GBTTree::predict takes.
+            const uint8_t *split_col = binned.col(best_feature);
             const auto mid_it = std::partition(
                 rows.begin() + task.begin, rows.begin() + task.end,
-                [&](int r) {
-                    return binned.code(r, best_feature) <=
-                        static_cast<uint16_t>(best_bin);
-                });
+                [&](int r) { return split_col[r] <= best_bin; });
             const size_t mid = static_cast<size_t>(
                 mid_it - rows.begin());
             if (mid == task.begin || mid == task.end) {
@@ -466,8 +509,8 @@ GBTRegressor::save(std::ostream &os) const
     }
 }
 
-void
-GBTRegressor::load(std::istream &is)
+bool
+GBTRegressor::tryLoad(std::istream &is, std::string *error)
 {
     // Upper bounds on what a genuine model can contain, enforced
     // BEFORE any container is sized from a stream-supplied count: a
@@ -478,71 +521,104 @@ GBTRegressor::load(std::istream &is)
     constexpr size_t kMaxLoadNodes = 1 << 20;
     constexpr size_t kMaxLoadFeatures = 1 << 16;
 
+    // Parse into a fresh model and adopt it only once it is valid, so
+    // a rejected stream leaves *this untouched.
+    GBTRegressor m;
     std::string magic;
     int version = 0;
     is >> magic >> version;
-    boreas_assert(!is.fail() && magic == "boreas-gbt" && version == 1,
-                  "bad GBT model header");
-    is >> params_.learningRate >> params_.gamma >> params_.maxDepth >>
-        params_.nEstimators >> params_.lambda;
+    if (is.fail() || magic != "boreas-gbt" || version != 1)
+        return loadError(error, "bad GBT model header");
+    is >> m.params_.learningRate >> m.params_.gamma >>
+        m.params_.maxDepth >> m.params_.nEstimators >> m.params_.lambda;
     size_t num_trees = 0;
-    is >> base_ >> numFeatures_ >> num_trees;
+    is >> m.base_ >> m.numFeatures_ >> num_trees;
     // fail(), not good(): a byte-complete file whose last token meets
     // EOF instead of a trailing newline sets eofbit (good() false)
     // without failing any extraction, and must load cleanly.
-    boreas_assert(!is.fail(), "truncated GBT model");
-    boreas_assert(std::isfinite(params_.learningRate) &&
-                  std::isfinite(params_.gamma) &&
-                  std::isfinite(params_.lambda) &&
-                  std::isfinite(base_),
-                  "bad GBT model: non-finite header value");
-    boreas_assert(params_.maxDepth >= 1 && params_.maxDepth <= 64,
-                  "bad GBT model: depth %d out of range",
-                  params_.maxDepth);
-    boreas_assert(numFeatures_ >= 1 &&
-                  numFeatures_ <= kMaxLoadFeatures,
-                  "bad GBT model: %zu features out of range",
-                  numFeatures_);
-    boreas_assert(num_trees <= kMaxLoadTrees,
-                  "bad GBT model: tree count %zu out of range",
-                  num_trees);
-    trees_.assign(num_trees, {});
-    for (auto &tree : trees_) {
+    if (is.fail())
+        return loadError(error, "truncated GBT model");
+    if (!std::isfinite(m.params_.learningRate) ||
+        !std::isfinite(m.params_.gamma) ||
+        !std::isfinite(m.params_.lambda) || !std::isfinite(m.base_))
+        return loadError(error, "bad GBT model: non-finite header value");
+    if (m.params_.maxDepth < 1 || m.params_.maxDepth > 64)
+        return loadError(error,
+                         strfmt("bad GBT model: depth %d out of range",
+                                m.params_.maxDepth));
+    if (m.numFeatures_ < 1 || m.numFeatures_ > kMaxLoadFeatures)
+        return loadError(error,
+                         strfmt("bad GBT model: %zu features out of "
+                                "range", m.numFeatures_));
+    if (num_trees > kMaxLoadTrees)
+        return loadError(error,
+                         strfmt("bad GBT model: tree count %zu out of "
+                                "range", num_trees));
+    m.trees_.assign(num_trees, {});
+    for (auto &tree : m.trees_) {
         size_t num_nodes = 0;
         is >> num_nodes;
-        boreas_assert(!is.fail(), "truncated GBT model tree");
-        boreas_assert(num_nodes >= 1 && num_nodes <= kMaxLoadNodes,
-                      "bad GBT model: node count %zu out of range",
-                      num_nodes);
+        if (is.fail())
+            return loadError(error, "truncated GBT model tree");
+        if (num_nodes < 1 || num_nodes > kMaxLoadNodes)
+            return loadError(error,
+                             strfmt("bad GBT model: node count %zu out "
+                                    "of range", num_nodes));
         tree.nodes.assign(num_nodes, {});
         for (auto &n : tree.nodes) {
             is >> n.feature >> n.threshold >> n.left >> n.right >>
                 n.value >> n.gain;
         }
-        boreas_assert(!is.fail(), "truncated GBT model tree");
+        if (is.fail())
+            return loadError(error, "truncated GBT model tree");
         // Structural validation before anything can call predict():
         // an out-of-range feature or child index would read out of
         // bounds inside the descent loop. Children must point strictly
         // forward (the grower appends them after their parent), which
         // also guarantees every descent terminates.
         const int n_nodes = static_cast<int>(num_nodes);
+        std::vector<char> has_parent(num_nodes, 0);
         for (int i = 0; i < n_nodes; ++i) {
             const GBTNode &n = tree.nodes[i];
-            boreas_assert(std::isfinite(n.value) &&
-                          std::isfinite(n.threshold),
-                          "bad GBT model: non-finite node %d", i);
+            if (!std::isfinite(n.value) || !std::isfinite(n.threshold))
+                return loadError(error,
+                                 strfmt("bad GBT model: non-finite "
+                                        "node %d", i));
             if (n.feature < 0)
                 continue; // leaf: child links unused
-            boreas_assert(n.feature <
-                          static_cast<int>(numFeatures_),
-                          "bad GBT model: node %d feature %d outside "
-                          "%zu features", i, n.feature, numFeatures_);
-            boreas_assert(n.left > i && n.left < n_nodes &&
-                          n.right > i && n.right < n_nodes,
-                          "bad GBT model: node %d children %d/%d out "
-                          "of range", i, n.left, n.right);
+            if (n.feature >= static_cast<int>(m.numFeatures_))
+                return loadError(error,
+                                 strfmt("bad GBT model: node %d feature "
+                                        "%d outside %zu features", i,
+                                        n.feature, m.numFeatures_));
+            if (n.left <= i || n.left >= n_nodes || n.right <= i ||
+                n.right >= n_nodes)
+                return loadError(error,
+                                 strfmt("bad GBT model: node %d "
+                                        "children %d/%d out of range",
+                                        i, n.left, n.right));
+            // One parent per node keeps the nodes a tree: a node
+            // shared by two links would let a walk over every path
+            // (depth(), FlatGBT's compile) double at each level.
+            for (const int child : {n.left, n.right}) {
+                if (has_parent[child])
+                    return loadError(error,
+                                     strfmt("bad GBT model: node %d "
+                                            "has two parents", child));
+                has_parent[child] = 1;
+            }
         }
     }
+    *this = std::move(m);
+    return true;
+}
+
+void
+GBTRegressor::load(std::istream &is)
+{
+    std::string error;
+    if (!tryLoad(is, &error))
+        boreas_panic("%s", error.c_str());
 }
 
 } // namespace boreas

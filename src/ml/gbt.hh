@@ -4,8 +4,10 @@
  *
  * Squared-error objective: per boosting round the gradient of row i is
  * (pred_i - y_i) and the hessian is 1. Trees are grown level-wise to
- * max_depth using histogram-based split finding (quantile-binned
- * features, 256 bins) and the XGBoost gain formula
+ * max_depth using histogram-based split finding (each feature
+ * quantile-binned into at most maxBins <= 256 bins, so every code is
+ * one byte; train() rejects a larger maxBins) and the XGBoost gain
+ * formula
  *
  *   gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda)
  *                - (GL+GR)^2/(HL+HR+lambda) ] - gamma
@@ -26,6 +28,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "ml/dataset.hh"
@@ -42,7 +45,7 @@ struct GBTParams
     int nEstimators = 223;
     double lambda = 1.0;        ///< L2 regularization on leaf weights
     double minChildWeight = 1.0;///< min hessian sum per child
-    int maxBins = 256;
+    int maxBins = 256;          ///< bins per feature, in [2, 256]
 };
 
 /** One node of a regression tree (leaf iff feature < 0). */
@@ -120,10 +123,17 @@ class GBTRegressor
     /** Serialize to a simple line-oriented text format. */
     void save(std::ostream &os) const;
 
-    /** Deserialize; panics with a clean error on malformed input
-     *  (counts and node indices are validated before use, so a
-     *  corrupt file cannot trigger a giant allocation or leave a
-     *  model whose predict() reads out of bounds). */
+    /**
+     * Deserialize without aborting. Counts and node indices are
+     * validated before use, so a corrupt stream cannot trigger a
+     * giant allocation or yield a model whose predict() reads out of
+     * bounds. On malformed input returns false, sets *error (if
+     * given) and leaves the model unchanged.
+     */
+    bool tryLoad(std::istream &is, std::string *error = nullptr);
+
+    /** Deserialize; panics with tryLoad's message on malformed
+     *  input. */
     void load(std::istream &is);
 
   private:

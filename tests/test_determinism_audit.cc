@@ -18,6 +18,7 @@
 #include "boreas/pipeline.hh"
 #include "common/hash.hh"
 #include "common/parallel.hh"
+#include "ml/feature_schema.hh"
 #include "ml/gbt.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -220,6 +221,23 @@ TEST(DeterminismAudit, ParallelGBTTrainingIsBitwiseDeterministic)
 
     EXPECT_EQ(serial_hash, threaded_hash)
         << "GBT model diverged between 1- and 8-thread training";
+
+    // The deployed 21-column view splits into histogram blocks
+    // unevenly; every lane count must still grow the same model.
+    const Dataset deployed = data.selectFeatures(
+        featureIndicesOf(deployedFeatureNames()));
+    ASSERT_EQ(deployed.numFeatures(), 21u);
+    uint64_t deployed_hash = 0;
+    for (const int threads : {1, 4, 8}) {
+        ThreadPool::resetGlobal(threads);
+        GBTRegressor model;
+        model.train(deployed, params);
+        if (threads == 1)
+            deployed_hash = modelHash(model);
+        EXPECT_EQ(modelHash(model), deployed_hash)
+            << "deployed-view GBT model diverged at " << threads
+            << " threads";
+    }
 
     // And the models must predict identically, bit for bit.
     const auto pa = serial.predictAll(data);

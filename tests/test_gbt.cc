@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "ml/gbt.hh"
 #include "test_util.hh"
@@ -67,6 +68,51 @@ tieData(size_t n, uint64_t seed)
     return d;
 }
 
+/**
+ * 21 columns of mixed cardinality: column 0 takes one distinct value
+ * per row, so every one of the 256 bins (the last one-byte code, 255,
+ * included) holds rows, and the target jumps inside its top bin;
+ * columns 1-3 take two or three values, so rows sit in long runs of
+ * one bin; the rest span small integers up to continuous values. 21
+ * is not a multiple of any histogram block width.
+ */
+Dataset
+byteCodeBoundaryData(size_t n, uint64_t seed)
+{
+    std::vector<std::string> names;
+    for (int f = 0; f < 21; ++f)
+        names.push_back("f" + std::to_string(f));
+    Rng rng(seed);
+    Dataset d(names);
+    std::vector<double> x(21);
+    for (size_t i = 0; i < n; ++i) {
+        x[0] = rng.uniform(0.0, 1.0);
+        x[1] = rng.uniform(0.0, 1.0) < 0.3 ? 1.0 : 0.0;
+        x[2] = std::round(rng.uniform(0.0, 2.0));
+        x[3] = rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 4.0;
+        for (int f = 4; f < 21; ++f) {
+            const double v = rng.uniform(-1.0, 1.0);
+            x[f] = f % 3 == 0 ? std::round(v * 4.0 * f) : v;
+        }
+        // The jump sits inside column 0's top bin, so the split that
+        // isolates code 255 is worth taking.
+        const double y = 2.0 * x[0] + x[1] - 0.5 * x[2] + 0.2 * x[3] +
+            x[4] * x[5] + 0.05 * x[9] + (x[0] > 0.997 ? 3.0 : 0.0) +
+            rng.normal(0.0, 0.1);
+        d.addRow(x, y, static_cast<int>(i % 4));
+    }
+    return d;
+}
+
+/** Restores the global pool to its default size on scope exit. */
+struct GlobalPoolGuard
+{
+    ~GlobalPoolGuard()
+    {
+        ThreadPool::resetGlobal(ThreadPool::defaultThreads());
+    }
+};
+
 } // namespace
 
 TEST(GBT, TrainedModelGoldenDigest)
@@ -105,6 +151,30 @@ TEST(GBT, TrainedModelGoldenDigest)
                                                  .nEstimators = 40,
                                                  .minChildWeight = 0.0});
     EXPECT_EQ(modelDigest(degenerate), 0xf29b50629552c736ULL);
+}
+
+TEST(GBT, ByteCodeBoundaryGoldenDigest)
+{
+    // Pinned golden value, like TrainedModelGoldenDigest, on a dataset
+    // that reaches the edges of the one-byte bin codes and of the
+    // histogram blocks. Serial and fanned-out training must both hit
+    // it.
+    GlobalPoolGuard guard;
+    const Dataset data = byteCodeBoundaryData(2000, 41);
+    std::vector<double> col0(data.numRows());
+    for (size_t r = 0; r < data.numRows(); ++r)
+        col0[r] = data.x(r, 0);
+    std::sort(col0.begin(), col0.end());
+    ASSERT_GE(std::unique(col0.begin(), col0.end()) - col0.begin(), 300);
+
+    const GBTParams params{.maxDepth = 4, .nEstimators = 30};
+    for (const int threads : {1, 4}) {
+        ThreadPool::resetGlobal(threads);
+        GBTRegressor model;
+        model.train(data, params);
+        EXPECT_EQ(modelDigest(model), 0x1b96c500e8497194ULL)
+            << threads << " threads";
+    }
 }
 
 TEST(GBT, BeatsTheMeanOnLinearData)
@@ -370,6 +440,136 @@ TEST(GBTDeathTest, LoadRejectsTruncatedModel)
     std::stringstream half(text.substr(0, text.size() / 2));
     GBTRegressor loaded;
     EXPECT_DEATH(loaded.load(half), "truncated GBT model");
+}
+
+namespace
+{
+
+/** One malformed model stream and the message tryLoad reports. */
+struct MalformedModel
+{
+    const char *name;
+    const char *text; ///< null: the first half of a saved model
+    const char *message;
+};
+
+/** The inputs of the GBTDeathTest.Load* tests, in their order. */
+const MalformedModel kMalformedModels[] = {
+    {"Garbage", "not-a-model 9", "bad GBT model"},
+    {"GiantTreeCount",
+     "boreas-gbt 1\n"
+     "0.3 0 3 10 1\n"
+     "0.5 2 99999999999\n",
+     "tree count"},
+    {"GiantNodeCount",
+     "boreas-gbt 1\n"
+     "0.3 0 3 10 1\n"
+     "0.5 2 1\n"
+     "99999999999\n",
+     "node count"},
+    {"FeatureOutOfRange",
+     "boreas-gbt 1\n"
+     "0.3 0 3 10 1\n"
+     "0.5 2 1\n"
+     "3\n"
+     "5 0.5 1 2 0 0\n"
+     "-1 0 -1 -1 1 0\n"
+     "-1 0 -1 -1 2 0\n",
+     "feature 5 outside"},
+    {"ChildIndexOutOfRange",
+     "boreas-gbt 1\n"
+     "0.3 0 3 10 1\n"
+     "0.5 2 1\n"
+     "3\n"
+     "0 0.5 1 7 0 0\n"
+     "-1 0 -1 -1 1 0\n"
+     "-1 0 -1 -1 2 0\n",
+     "children"},
+    {"BackwardChildLink",
+     "boreas-gbt 1\n"
+     "0.3 0 3 10 1\n"
+     "0.5 2 1\n"
+     "3\n"
+     "0 0.5 0 2 0 0\n"
+     "-1 0 -1 -1 1 0\n"
+     "-1 0 -1 -1 2 0\n",
+     "children"},
+    {"TruncatedModel", nullptr, "truncated GBT model"},
+};
+
+} // namespace
+
+class GBTTryLoad : public ::testing::TestWithParam<MalformedModel>
+{
+};
+
+TEST_P(GBTTryLoad, ReportsMalformedInputWithoutAborting)
+{
+    // A rejected stream returns false with the message load() panics
+    // with, and leaves the model it was loaded into untouched.
+    GBTRegressor model;
+    model.train(stepData(200, 21), GBTParams{.nEstimators = 5});
+    const uint64_t before = modelDigest(model);
+
+    std::string text;
+    if (GetParam().text) {
+        text = GetParam().text;
+    } else {
+        GBTRegressor saved;
+        saved.train(linearData(300, 0.1, 29), GBTParams{.nEstimators = 10});
+        std::stringstream full;
+        saved.save(full);
+        text = full.str().substr(0, full.str().size() / 2);
+    }
+    std::stringstream buf(text);
+    std::string error;
+    EXPECT_FALSE(model.tryLoad(buf, &error));
+    EXPECT_NE(error.find(GetParam().message), std::string::npos)
+        << error;
+    EXPECT_EQ(modelDigest(model), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LoadInputs, GBTTryLoad, ::testing::ValuesIn(kMalformedModels),
+    [](const ::testing::TestParamInfo<MalformedModel> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(GBT, TryLoadAcceptsSavedModel)
+{
+    GBTRegressor model;
+    model.train(linearData(300, 0.1, 27), GBTParams{.nEstimators = 10});
+    std::stringstream saved;
+    model.save(saved);
+    GBTRegressor loaded;
+    std::string error;
+    EXPECT_TRUE(loaded.tryLoad(saved, &error)) << error;
+    EXPECT_EQ(modelDigest(loaded), modelDigest(model));
+}
+
+TEST(GBT, TryLoadRejectsSharedChild)
+{
+    // Each split links both sides to the next node: every link points
+    // forward, but the 36 nodes hold 2^35 root-to-leaf paths, so
+    // depth() or a FlatGBT compile of the loaded model would not end.
+    std::stringstream buf;
+    buf << "boreas-gbt 1\n0.3 0 3 1 1\n0.5 1 1\n36\n";
+    for (int i = 0; i < 35; ++i)
+        buf << "0 0.5 " << i + 1 << " " << i + 1 << " 0 0\n";
+    buf << "-1 0 -1 -1 1 0\n";
+    GBTRegressor model;
+    std::string error;
+    EXPECT_FALSE(model.tryLoad(buf, &error));
+    EXPECT_NE(error.find("node 1 has two parents"), std::string::npos)
+        << error;
+}
+
+TEST(GBTDeathTest, TrainRejectsMaxBinsAbove256)
+{
+    // Bin codes are one byte wide.
+    GBTRegressor model;
+    EXPECT_DEATH(model.train(stepData(200, 21), GBTParams{.maxBins = 257}),
+                 "maxBins");
 }
 
 TEST(GBTDeathTest, PredictRejectsWrongWidth)
