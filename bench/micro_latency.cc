@@ -2,10 +2,11 @@
  * @file
  * Google-benchmark microbenchmarks of the hot paths backing the
  * Sec. V-E overhead discussion: one GBT prediction (reference walk and
- * flat engine), one controller decision, one thermal step, one
- * MLTD/severity evaluation (live 64x64, plus fixed 32x32 and 128x128
- * fields), the per-unit temperature gather, and one full pipeline
- * telemetry step —
+ * flat engine), one Table II fit of the serving recipe's 21 deployed
+ * columns and of all 78 attributes, one controller decision, one
+ * thermal step, one MLTD/severity evaluation (live 64x64, plus fixed
+ * 32x32 and 128x128 fields), the per-unit temperature gather, and one
+ * full pipeline telemetry step —
  * plus the spectral solver's per-step cost: one forward and inverse
  * DCT at 32x32, 64x64 and 128x128, the 64x64 ingest alone, the mode
  * sweep alone, and one ingest -> step -> publish cycle — the per-step
@@ -107,6 +108,33 @@ BM_FlatGBTPrediction(benchmark::State &bm)
         benchmark::DoNotOptimize(flat.predictOne(x.data()));
 }
 BENCHMARK(BM_FlatGBTPrediction)->Apply(microBench);
+
+/** One Table II fit of the serving recipe's training data. */
+static void
+gbtTrain(benchmark::State &bm, const Dataset &data)
+{
+    for (auto _ : bm) {
+        GBTRegressor model;
+        model.train(data, GBTParams{});
+        benchmark::DoNotOptimize(model.basePrediction());
+    }
+}
+
+/** The deployed model's fit: the 21 selected columns. */
+static void
+BM_GBTTrain21(benchmark::State &bm)
+{
+    gbtTrain(bm, state().trained.trainData);
+}
+BENCHMARK(BM_GBTTrain21)->Apply(microBench);
+
+/** The feature-selection study's fit: all 78 attributes. */
+static void
+BM_GBTTrain78(benchmark::State &bm)
+{
+    gbtTrain(bm, state().trained.fullTrainData);
+}
+BENCHMARK(BM_GBTTrain78)->Apply(microBench);
 
 static void
 BM_ControllerDecision(benchmark::State &bm)

@@ -12,9 +12,14 @@
  * `perf` ctest label so `ctest -L perf` smoke-runs it.
  */
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "boreas/dataset_builder.hh"
@@ -94,19 +99,43 @@ timeDatasetBuild(BuiltData &out)
     return seconds(t0, t1);
 }
 
-/** Seconds recorded so far by the three gbt.* phase timers. */
-double
-gbtTimedSeconds()
+/** The timers of GBTRegressor::train (the gbt.flat_* ones time serving). */
+constexpr std::array<std::string_view, 5> kTrainTimers = {
+    "gbt.bin", "gbt.histogram", "gbt.subtract", "gbt.split", "gbt.recheck"};
+
+/** What the training timers and the candidate counter have recorded. */
+struct GbtPhases
+{
+    std::map<std::string, double> seconds; ///< per training timer
+    uint64_t searchedNodes = 0;            ///< gbt.split calls
+    uint64_t candidates = 0;               ///< gbt.split_candidates
+
+    double total() const
+    {
+        double sum = 0.0;
+        for (const auto &[name, s] : seconds)
+            sum += s;
+        return sum;
+    }
+};
+
+GbtPhases
+gbtPhases()
 {
     const obs::MetricsSnapshot snap =
         obs::MetricsRegistry::global().snapshot();
-    double us = 0.0;
-    for (const char *name : {"gbt.bin", "gbt.histogram", "gbt.split"}) {
-        const auto it = snap.histograms.find(name);
-        if (it != snap.histograms.end())
-            us += it->second.sum;
+    GbtPhases p;
+    for (const auto &[name, h] : snap.histograms) {
+        if (std::find(kTrainTimers.begin(), kTrainTimers.end(), name) !=
+            kTrainTimers.end())
+            p.seconds[name] = h.sum * 1e-6;
+        if (name == "gbt.split")
+            p.searchedNodes = h.count;
     }
-    return us * 1e-6;
+    const auto it = snap.counters.find("gbt.split_candidates");
+    if (it != snap.counters.end())
+        p.candidates = it->second;
+    return p;
 }
 
 /** Time one GBT fit (block-parallel histograms) on the global pool. */
@@ -153,11 +182,22 @@ main(int argc, char **argv)
     const double sweep_serial = timeSweep();
     BuiltData data_serial;
     const double build_serial = timeDatasetBuild(data_serial);
-    const double timed_before = gbtTimedSeconds();
+    const GbtPhases before = gbtPhases();
     const double train_serial = timeTrain(data_serial.severity);
-    // Share of the serial fit's wall time the gbt.* timers cover.
-    const double train_timed_share =
-        (gbtTimedSeconds() - timed_before) / train_serial;
+    // The serial fit's phases, and the share of its wall time the
+    // gbt.* timers cover.
+    GbtPhases fit = gbtPhases();
+    for (auto &[name, s] : fit.seconds) {
+        const auto it = before.seconds.find(name);
+        if (it != before.seconds.end())
+            s -= it->second;
+    }
+    fit.searchedNodes -= before.searchedNodes;
+    fit.candidates -= before.candidates;
+    const double train_timed_share = fit.total() / train_serial;
+    const double candidates_per_node = fit.searchedNodes == 0 ? 0.0
+        : static_cast<double>(fit.candidates) /
+            static_cast<double>(fit.searchedNodes);
 
     ThreadPool::resetGlobal(threads);
     const double sweep_par = timeSweep();
@@ -178,9 +218,15 @@ main(int argc, char **argv)
                 build_serial, build_par, build_speedup);
     std::printf("gbt train (60):  %.3fs serial, %.3fs threaded (%.2fx)\n",
                 train_serial, train_par, train_speedup);
-    std::printf("gbt train timed: %.1f%% of serial wall in "
-                "gbt.bin + gbt.histogram + gbt.split\n",
+    std::printf("gbt train timed: %.1f%% of serial wall in gbt.* timers\n",
                 100.0 * train_timed_share);
+    std::printf("gbt train phases:");
+    for (const auto &[name, s] : fit.seconds)
+        std::printf(" %s %.3fs", name.c_str() + 4, s);
+    std::printf("\n");
+    std::printf("gbt split search: %.2f candidate features per node "
+                "(%llu nodes)\n", candidates_per_node,
+                static_cast<unsigned long long>(fit.searchedNodes));
 
     report.config("threads", static_cast<double>(threads));
     report.config("thermal_step_us", step_us);
@@ -205,5 +251,9 @@ main(int argc, char **argv)
     report.comparison("gbt train serial wall under gbt.* timers",
                       ">= 0.90",
                       TextTable::num(train_timed_share, 3));
+    report.comparison("gbt candidate features per split node",
+                      "a few of " + std::to_string(
+                          data_serial.severity.numFeatures()),
+                      TextTable::num(candidates_per_node, 2));
     return 0;
 }

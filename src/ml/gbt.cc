@@ -1,8 +1,11 @@
 #include "ml/gbt.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <string>
@@ -11,7 +14,9 @@
 #include "common/iofmt.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "common/simd.hh"
 #include "ml/gbt_flat.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace boreas
@@ -126,6 +131,205 @@ similarity(double g, double h, double lambda)
     return g * g / (h + lambda);
 }
 
+/**
+ * Features per histogram block, one lane each. A bin's lanes are one
+ * 64-byte line of int64 sums and one AVX-512 vector in the scan.
+ */
+constexpr size_t kBlockLanes = 8;
+
+/** int64 slots of one block: bin-major, lane-minor. */
+constexpr size_t kBlockSlots = kMaxBins * kBlockLanes;
+
+/**
+ * Every partial sum of one round's quantized gradients stays below
+ * 2^sumBits in magnitude: 62 - cb leaves room for the cb count bits
+ * below it in an int64, and 51 keeps it exact through the scan's
+ * double conversion.
+ */
+int
+sumBits(int count_bits)
+{
+    return std::min(51, 62 - count_bits);
+}
+
+/**
+ * The fixed-point scale of one round: the largest k with
+ * max|g| * 2^k <= 2^sumBits / n - 1, so that
+ * n * max|nearestInt(g * 2^k)| < 2^sumBits and no histogram sum
+ * overflows. Returns false when the gradients are non-finite or so
+ * far from 1 that the split-score bounds could leave the normal
+ * double range; that round searches every feature.
+ */
+bool
+chooseScale(double max_abs, size_t n, int count_bits, int *k)
+{
+    if (max_abs == 0.0) {
+        *k = 0;
+        return true;
+    }
+    if (!(max_abs >= 0x1p-200 && max_abs <= 0x1p200))
+        return false;
+    const double limit = std::ldexp(1.0, sumBits(count_bits)) /
+        static_cast<double>(n) - 1.0;
+    if (!(limit >= 1.0))
+        return false;
+    int e = 0;
+    std::frexp(limit / max_abs, &e);
+    int scale = e;
+    while (std::ldexp(max_abs, scale) > limit)
+        --scale;
+    *k = scale;
+    return true;
+}
+
+/** Constants of one node's approximate scan (DESIGN.md §6). */
+struct ScanConsts
+{
+    int countBits;     ///< cb
+    int64_t countMask; ///< 2^cb - 1
+    double rows;       ///< m, the node's row count
+    double minRows;    ///< smallest count minChildWeight admits
+    double lambda;
+    double gradSum;    ///< the node's exact sum of q, as a double
+};
+
+/** An integer |q| < 2^51 as a double, exactly, without int64 -> double
+ *  conversion instructions the vectorizer may lack. */
+inline double
+exactDouble(int64_t q)
+{
+    const int64_t bits = q + 0x4338000000000000LL; // 1.5 * 2^52
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d - 0x1.8p52;
+}
+
+/** x rounded to the nearest integer, ties to even, for |x| < 2^51:
+ *  adding 1.5 * 2^52 rounds x and leaves it in the low mantissa bits. */
+inline int64_t
+nearestInt(double x)
+{
+    const double shifted = x + 0x1.8p52;
+    int64_t bits;
+    std::memcpy(&bits, &shifted, sizeof(bits));
+    return bits - 0x4338000000000000LL;
+}
+
+/**
+ * Approximate split scores of one histogram block. The block holds,
+ * per bin b and lane j, the packed sum over bins 0..b of lane j's
+ * feature (DESIGN.md §6). For each of the first `positions` bins it
+ * forms
+ *
+ *   s~ = QL^2 / (nL + lambda) + QR^2 / (nR + lambda)
+ *
+ * from those exact integer sums (QL, nL: bins 0..b; QR, nR: the
+ * rest), in units of 2^-2k, and writes each lane's largest s~ over
+ * the positions minChildWeight admits (-inf if none) to best[j].
+ *
+ * Two passes, so that each vectorizes: per (bin, lane), branch-free,
+ * s~ as a fraction num / den; then a per-lane max that folds the upper
+ * half of the positions onto the lower half, comparing fractions by
+ * cross-multiplying, so that only the eight winners are divided. The
+ * clones round differently; that is allowed, since only the decision
+ * stage sets the model's bits.
+ */
+BOREAS_TARGET_CLONES("avx512f", "avx2", "default")
+void
+approxBlockScores(const int64_t *__restrict prefix, size_t positions,
+                  const ScanConsts &c, double *__restrict num,
+                  double *__restrict den, double *__restrict best)
+{
+    // The biased logical shift is an arithmetic shift of the sum field
+    // (|sum| < 2^62), which AVX2 lacks for 64-bit lanes. An invalid
+    // position scores -1 / 1, below every valid one.
+    constexpr uint64_t kBias = uint64_t(1) << 62;
+    const int64_t unbias = static_cast<int64_t>(kBias >> c.countBits);
+    const size_t slots = positions * kBlockLanes;
+    for (size_t i = 0; i < slots; ++i) {
+        const int64_t v = prefix[i];
+        const double nl = exactDouble(v & c.countMask);
+        const double gl = exactDouble(
+            static_cast<int64_t>((static_cast<uint64_t>(v) + kBias) >>
+                                 c.countBits) - unbias);
+        const double gr = c.gradSum - gl;
+        const double dl = nl + c.lambda;
+        const double dr = (c.rows - nl) + c.lambda;
+        const bool valid = nl >= c.minRows && c.rows - nl >= c.minRows;
+        num[i] = valid ? gl * gl * dr + gr * gr * dl : -1.0;
+        den[i] = valid ? dl * dr : 1.0;
+    }
+
+    std::fill_n(best, kBlockLanes, -std::numeric_limits<double>::infinity());
+    if (positions == 0)
+        return;
+    for (size_t left = positions; left > 1;) {
+        const size_t half = left / 2;
+        const size_t upper = (left - half) * kBlockLanes;
+        for (size_t i = 0; i < half * kBlockLanes; ++i) {
+            const bool take =
+                num[upper + i] * den[i] > num[i] * den[upper + i];
+            num[i] = take ? num[upper + i] : num[i];
+            den[i] = take ? den[upper + i] : den[i];
+        }
+        left -= half;
+    }
+    for (size_t j = 0; j < kBlockLanes; ++j) {
+        if (num[j] >= 0.0)
+            best[j] = num[j] / den[j];
+    }
+}
+
+/**
+ * Bound on |s~ - s| over one node's valid splits, in the units of s,
+ * widened by the rounding that can make two different s values give
+ * the same gain (DESIGN.md §6). s is the score the decision stage
+ * computes from row-order double sums, s~ the approximate scan's.
+ *
+ *   rows      m, the node's row count
+ *   maxAbs    the round's max |g|, so the node's sum of |g| is at
+ *             most S = m * maxAbs
+ *   k         the round's fixed-point exponent
+ *   minDenom  lambda + max(minChildWeight, 0) > 0: no denominator of
+ *             a valid split is smaller
+ *   rho       max(1, max(minChildWeight, 0) / minDenom): bounds
+ *             count / (count + lambda) on valid splits
+ */
+double
+scoreMargin(size_t rows, double max_abs, int k, double min_denom,
+            double rho, double parent_sim, double gamma)
+{
+    constexpr double u = 0x1p-53; // unit roundoff
+    const double m = static_cast<double>(rows);
+    // gamma_{m+257}: any summation tree over the node's rows plus the
+    // scan's bin prefix has fewer than m + 257 rounded adds on a path.
+    const double c = (m + 257.0) * u / (1.0 - (m + 257.0) * u);
+    const double h = std::ldexp(1.0, -k - 1); // quantization half-step
+    const double S = m * max_abs;
+    // First order: |G^2 - g^2| / d <= e (2|G|) / d, and
+    // |G| / d <= rho * maxAbs on a valid split. Row-order sums err by
+    // c * S_L on the left and (2c + 2u) S on the right (via gsum).
+    const double double_sums = 2.0 * rho * max_abs * S * (3.0 * c + 2.0 * u);
+    // Integer sums err by nL * h on the left (nR * h on the right), and
+    // nL / d <= rho.
+    const double fixed_point = 2.0 * rho * S * (h + u * max_abs);
+    // Second order: e^2 / d over both sides and both paths.
+    const double e_sums = (2.0 * c + 3.0 * u) * S;
+    const double second = 8.0 *
+        (m * rho * h * h + e_sums * e_sums / min_denom);
+    // Every s and s~ is at most T. Each formula rounds a few times, and
+    // the scan's per-feature max compares fractions by products.
+    const double T = 2.0 * rho * max_abs * S + second;
+    const double formula = 128.0 * u * T;
+    // gain = 0.5 (s - P) - gamma rounds twice: two splits whose s
+    // differ by less than this can score the same gain, and a split
+    // with s this far below P + 2 gamma can still score gain > 0.
+    const double ties = 8.0 * u * (T + std::fabs(parent_sim) +
+                                   std::fabs(gamma));
+    return 2.0 * (double_sums + fixed_point + second + formula + ties) +
+        64.0 * std::numeric_limits<double>::min();
+}
+
 /** tryLoad's failure exit: report `message` through `error`. */
 bool
 loadError(std::string *error, const std::string &message)
@@ -155,52 +359,179 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
     base_ = data.targetMean();
 
     const BinnedData binned = binFeatures(data, params.maxBins);
-
-    // Split-search tables, allocated once and reused for every node of
-    // every tree: feature f's bins sit at [f * kMaxBins, f * kMaxBins +
-    // nbins(f)) of the gradient sums and of the row counts (every
-    // row's hessian is 1). The fixed stride puts each lane of a block
-    // at a constant offset from the block's base.
     const size_t nf = binned.numFeatures;
     auto nbins = [&](size_t f) { return binned.cuts[f].size() + 1; };
-    std::vector<double> hist_g(nf * kMaxBins);
-    std::vector<uint32_t> hist_n(nf * kMaxBins);
 
-    // Histograms are built in blocks of at most kBlockWidth features,
-    // split evenly: a block's sums and counts (18 KB) stay in L1 while
-    // the node's rows stream past, and the 21-column deployed model
-    // still yields four blocks to fan out.
-    constexpr size_t kBlockWidth = 6;
-    const size_t num_blocks = (nf + kBlockWidth - 1) / kBlockWidth;
+    // Split-search histograms (DESIGN.md §6): one int64 per (feature,
+    // bin) holding q-sum * 2^cb + row count, summed over bins 0..b, in
+    // blocks of at most kBlockLanes features split evenly. Feature f
+    // sits in lane lane_of[f] of block block_of[f]; block_bins is the
+    // widest of a block's features.
+    const size_t num_blocks = (nf + kBlockLanes - 1) / kBlockLanes;
     auto block_begin = [&](size_t blk) { return blk * nf / num_blocks; };
+    std::vector<size_t> block_of(nf), lane_of(nf), block_bins(num_blocks);
+    for (size_t blk = 0; blk < num_blocks; ++blk) {
+        for (size_t f = block_begin(blk); f < block_begin(blk + 1); ++f) {
+            block_of[f] = blk;
+            lane_of[f] = f - block_begin(blk);
+            block_bins[blk] = std::max(block_bins[blk], nbins(f));
+        }
+    }
+    const int count_bits = std::bit_width(n);
+    const int64_t count_mask = (int64_t(1) << count_bits) - 1;
 
-    // Below this many (row, feature) visits a node's histogram/scan is
+    // A node's histograms live in a pool slot from the split that
+    // made it until its own split. Depth-first growth keeps at most
+    // one pending sibling per level, so maxDepth + 1 slots suffice.
+    std::vector<std::vector<int64_t>> pool;
+    std::vector<int> free_slots;
+    auto acquire = [&]() {
+        if (free_slots.empty()) {
+            boreas_assert(pool.size() <=
+                          static_cast<size_t>(params.maxDepth),
+                          "histogram pool past its %d-slot bound",
+                          params.maxDepth + 1);
+            pool.emplace_back(num_blocks * kBlockSlots);
+            return static_cast<int>(pool.size()) - 1;
+        }
+        const int slot = free_slots.back();
+        free_slots.pop_back();
+        return slot;
+    };
+
+    // The margin needs every valid split's denominator bounded away
+    // from 0, and the scan's cross-multiplied scores inside the normal
+    // double range; without that, every feature is a candidate. The
+    // scan also scores a block's positions past a short feature's last
+    // split, where every row is on the left: minChildWeight > 0 rejects
+    // them, and otherwise they score the parent's own similarity,
+    // which hides no split of gain > 0 unless gamma < 0.
+    const double min_rows_real = std::max(params.minChildWeight, 0.0);
+    const double min_denom = params.lambda + min_rows_real;
+    const bool margin_exists = min_denom >= 0x1p-300 &&
+        std::isfinite(min_denom) && std::fabs(params.lambda) <= 0x1p100 &&
+        (min_rows_real > 0.0 || params.gamma >= 0.0);
+    const double rho = margin_exists
+        ? std::max(1.0, min_rows_real / min_denom) : 0.0;
+    // The smallest integer count c with double(c) >= minChildWeight.
+    const double min_rows = std::min(std::ceil(min_rows_real),
+                                     static_cast<double>(n + 1));
+
+    // Below this many (row, feature) visits a histogram build is
     // cheaper serial than fanned out.
     constexpr size_t kMinParallelWork = 1 << 14;
 
     std::vector<double> pred(n, base_);
     std::vector<double> grad(n, 0.0);
-    std::vector<double> gord(n); // a node's gradients in `rows` order
+    std::vector<int64_t> packed(n);
+    std::vector<int64_t> pord(n); // a child's packed values, `rows` order
+    std::vector<double> gord(n);  // a node's gradients, `rows` order
     std::vector<int> rows(n);
+    std::vector<double> approx_best(nf); // approximate best s per feature
+    std::vector<double> scan_num(kBlockSlots), scan_den(kBlockSlots);
+    std::vector<int> candidates;
+    std::vector<double> feature_g(kMaxBins); // a candidate's double sums
+
+    // Integer histograms of rows [begin, end) into `slot`. A block
+    // zeroes its bins, walks the rows once and adds each packed value
+    // to every feature of the block; integer sums do not depend on
+    // the order, so any blocking and any fan-out agree bitwise.
+    auto build_hist = [&](int slot, size_t begin, size_t end) {
+        int64_t *hist = pool[slot].data();
+        const size_t count = end - begin;
+        const int *idx = rows.data() + begin;
+        for (size_t k = 0; k < count; ++k)
+            pord[k] = packed[idx[k]];
+        auto build_blocks = [&](int64_t blk_lo, int64_t blk_hi) {
+            for (int64_t blk = blk_lo; blk < blk_hi; ++blk) {
+                const size_t f_lo = block_begin(blk);
+                const size_t width = block_begin(blk + 1) - f_lo;
+                int64_t *block = hist + blk * kBlockSlots;
+                const size_t used = block_bins[blk] * kBlockLanes;
+                std::fill_n(block, used, 0);
+                // The block's code columns are adjacent, n apart.
+                const uint8_t *block_codes = binned.col(f_lo);
+                for (size_t k = 0; k < count; ++k) {
+                    const uint8_t *codes = block_codes + idx[k];
+                    const int64_t p = pord[k];
+                    // Unrolled over the widest block; the width test
+                    // goes the same way for a whole block.
+#pragma GCC unroll kBlockLanes
+                    for (size_t j = 0; j < kBlockLanes; ++j) {
+                        if (j < width)
+                            block[codes[j * n] * kBlockLanes + j] += p;
+                    }
+                }
+                // Cumulative over the bins: each entry now sums bins
+                // 0..b, which is what the scan and the decision read,
+                // and parent - child stays exact.
+                for (size_t i = kBlockLanes; i < used; ++i)
+                    block[i] += block[i - kBlockLanes];
+            }
+        };
+        if (count * nf >= kMinParallelWork) {
+            ThreadPool::global().parallelFor(
+                0, static_cast<int64_t>(num_blocks), 1, build_blocks);
+        } else {
+            build_blocks(0, static_cast<int64_t>(num_blocks));
+        }
+    };
 
     for (int t = 0; t < params.nEstimators; ++t) {
-        for (size_t i = 0; i < n; ++i)
+        // A NaN gradient makes the max NaN too, so chooseScale turns
+        // the integer search off for the round.
+        double max_abs_grad = 0.0;
+        for (size_t i = 0; i < n; ++i) {
             grad[i] = pred[i] - data.y(i);
+            const double a = std::fabs(grad[i]);
+            if (!(a <= max_abs_grad))
+                max_abs_grad = a;
+        }
 
         // Every round partitions all rows afresh from 0..n-1: the
-        // histogram accumulation order follows this order.
+        // decision stage's accumulation order follows this order.
         std::iota(rows.begin(), rows.end(), 0);
 
         GBTTree tree;
-        // Recursive level-wise growth over index ranges of `rows`.
+        // Recursive level-wise growth over index ranges of `rows`. A
+        // task that may split holds its node's histograms in pool
+        // slot `hist`.
         struct Task
         {
             int node;
             size_t begin, end;
             int depth;
+            int hist;
+        };
+        // A node at `depth` with `count` rows is searched unless it
+        // must stay a leaf.
+        auto may_split = [&](int depth, size_t count) {
+            return depth < params.maxDepth &&
+                !(static_cast<double>(count) <
+                  2.0 * params.minChildWeight);
         };
         tree.nodes.push_back({});
-        std::vector<Task> stack{{0, 0, rows.size(), 0}};
+        std::vector<Task> stack{{0, 0, n, 0, -1}};
+
+        // Quantize once per round: q_i = g_i * 2^k rounded to the
+        // nearest integer, packed with a count of 1. A round without a
+        // scale packs counts only and searches every feature.
+        int scale_exp = 0; // k, the round's fixed-point exponent
+        bool search = false;
+        {
+            obs::ScopedTimer timer("gbt.histogram");
+            search = margin_exists &&
+                chooseScale(max_abs_grad, n, count_bits, &scale_exp);
+            const double scale = std::ldexp(1.0, scale_exp);
+            for (size_t i = 0; i < n; ++i) {
+                const int64_t q = search ? nearestInt(grad[i] * scale) : 0;
+                packed[i] = q * (int64_t(1) << count_bits) + 1;
+            }
+            if (may_split(0, n)) {
+                stack[0].hist = acquire();
+                build_hist(stack[0].hist, 0, n);
+            }
+        }
 
         // A task that ends as a leaf settles its rows: the partitions
         // above it gathered exactly the rows whose descent reaches
@@ -211,6 +542,8 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
             const double step = params.learningRate * leaf;
             for (size_t k = task.begin; k < task.end; ++k)
                 pred[rows[k]] += step;
+            if (task.hist >= 0)
+                free_slots.push_back(task.hist);
         };
 
         while (!stack.empty()) {
@@ -218,97 +551,103 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
             stack.pop_back();
 
             double gsum = 0.0;
-            const double hsum =
-                static_cast<double>(task.end - task.begin);
             for (size_t k = task.begin; k < task.end; ++k)
                 gsum += grad[rows[k]];
+            const size_t node_rows = task.end - task.begin;
+            const double hsum = static_cast<double>(node_rows);
 
             const double leaf = leafWeight(gsum, hsum, params.lambda);
             tree.nodes[task.node].value = leaf;
 
-            if (task.depth >= params.maxDepth ||
-                hsum < 2.0 * params.minChildWeight) {
+            if (!may_split(task.depth, node_rows)) {
                 settle(task, leaf);
                 continue; // stays a leaf
             }
 
-            // Histograms per feature block. A block zeroes its own
-            // bins, then walks the node's rows once and adds each
-            // gradient to every feature of the block: the features'
-            // chains are independent, and per (feature, bin) the
-            // accumulation order is still row order, so any blocking
-            // and any fan-out agree bitwise.
-            const size_t node_rows = task.end - task.begin;
-            const bool wide = node_rows * nf >= kMinParallelWork;
-            const int *node_idx = rows.data() + task.begin;
-            auto build_hist = [&](int64_t blk_lo, int64_t blk_hi) {
-                for (int64_t blk = blk_lo; blk < blk_hi; ++blk) {
-                    const size_t f_lo = block_begin(blk);
-                    const size_t width = block_begin(blk + 1) - f_lo;
-                    double *block_g = hist_g.data() + f_lo * kMaxBins;
-                    uint32_t *block_n = hist_n.data() + f_lo * kMaxBins;
-                    for (size_t j = 0; j < width; ++j) {
-                        std::fill_n(block_g + j * kMaxBins,
-                                    nbins(f_lo + j), 0.0);
-                        std::fill_n(block_n + j * kMaxBins,
-                                    nbins(f_lo + j), 0u);
-                    }
-                    // The block's code columns are adjacent, n apart.
-                    const uint8_t *block_codes = binned.col(f_lo);
-                    for (size_t k = 0; k < node_rows; ++k) {
-                        const uint8_t *codes = block_codes + node_idx[k];
-                        const double g = gord[k];
-                        // Unrolled over the widest block; the width
-                        // test goes the same way for a whole block.
-#pragma GCC unroll kBlockWidth
-                        for (size_t j = 0; j < kBlockWidth; ++j) {
-                            if (j < width) {
-                                const size_t bin =
-                                    j * kMaxBins + codes[j * n];
-                                block_g[bin] += g;
-                                ++block_n[bin];
-                            }
-                        }
-                    }
-                }
-            };
-            {
-                obs::ScopedTimer timer("gbt.histogram");
-                for (size_t k = 0; k < node_rows; ++k)
-                    gord[k] = grad[node_idx[k]];
-                if (wide) {
-                    ThreadPool::global().parallelFor(
-                        0, static_cast<int64_t>(num_blocks), 1,
-                        build_hist);
-                } else {
-                    build_hist(0, static_cast<int64_t>(num_blocks));
-                }
-            }
-
-            // Best split scan, fanned out over features. Each chunk
-            // keeps a local argmax; the merge walks chunks in feature
-            // order with the same strict > the serial scan uses, so
-            // ties resolve identically (lowest feature, lowest bin).
+            const int64_t *hist = pool[task.hist].data();
             const double parent_sim =
                 similarity(gsum, hsum, params.lambda);
+
+            // Stage 1, the exact integer search: score every split
+            // approximately from the integer sums and keep the
+            // features whose best score could still win, given the
+            // proven margin on the scores.
+            {
+                obs::ScopedTimer timer("gbt.split");
+                const double margin = search
+                    ? scoreMargin(node_rows, max_abs_grad, scale_exp,
+                                  min_denom, rho, parent_sim,
+                                  params.gamma)
+                    : std::numeric_limits<double>::infinity();
+                candidates.clear();
+                if (std::isfinite(margin)) {
+                    // Feature 0's last bin sums every row of the node.
+                    const int64_t packed_sum =
+                        hist[(nbins(0) - 1) * kBlockLanes];
+                    const ScanConsts consts{
+                        count_bits, count_mask, hsum, min_rows,
+                        params.lambda,
+                        exactDouble(packed_sum >> count_bits)};
+                    // A few microseconds per block whatever the node's
+                    // size: cheaper serial than fanned out.
+                    for (size_t blk = 0; blk < num_blocks; ++blk) {
+                        double best[kBlockLanes];
+                        approxBlockScores(hist + blk * kBlockSlots,
+                                          block_bins[blk] - 1, consts,
+                                          scan_num.data(),
+                                          scan_den.data(), best);
+                        const size_t f_lo = block_begin(blk);
+                        for (size_t f = f_lo; f < block_begin(blk + 1); ++f)
+                            approx_best[f] = std::ldexp(best[f - f_lo],
+                                                        -2 * scale_exp);
+                    }
+                    const double top = *std::max_element(
+                        approx_best.begin(), approx_best.end());
+                    const double floor = std::max(
+                        top - 2.0 * margin,
+                        parent_sim + 2.0 * params.gamma - margin);
+                    for (size_t f = 0; f < nf; ++f)
+                        if (approx_best[f] >= floor)
+                            candidates.push_back(static_cast<int>(f));
+                } else {
+                    for (size_t f = 0; f < nf; ++f)
+                        candidates.push_back(static_cast<int>(f));
+                }
+                obs::MetricsRegistry::global().add("gbt.split_candidates",
+                                                   candidates.size());
+            }
+
+            // Stage 2, the exact decision on the candidates alone:
+            // row-order double histograms, a bin-order prefix, the gain
+            // expression and strict >, merged in feature order, so the
+            // winner, its threshold and its gain have the bits a scan
+            // of every feature gives. Ties resolve to the lowest
+            // feature, then the lowest bin.
             struct SplitCand
             {
                 double gain = 0.0;
                 int feature = -1;
                 int bin = -1;
             };
-            std::vector<SplitCand> cand(nf);
-            auto scan_features = [&](int64_t f_lo, int64_t f_hi) {
-                for (int64_t f = f_lo; f < f_hi; ++f) {
-                    SplitCand best;
-                    double gl = 0.0, hl = 0.0;
-                    const double *fg = hist_g.data() + f * kMaxBins;
-                    const uint32_t *fn = hist_n.data() + f * kMaxBins;
+            const int *node_idx = rows.data() + task.begin;
+            auto decide = [&](const std::vector<int> &feats) {
+                SplitCand best;
+                for (const int feature : feats) {
+                    const size_t f = static_cast<size_t>(feature);
+                    std::fill_n(feature_g.begin(), nbins(f), 0.0);
+                    const uint8_t *col = binned.col(f);
+                    for (size_t k = 0; k < node_rows; ++k)
+                        feature_g[col[node_idx[k]]] += gord[k];
+                    const int64_t *fh =
+                        hist + block_of[f] * kBlockSlots + lane_of[f];
+                    SplitCand split;
+                    double gl = 0.0;
                     for (size_t bin = 0; bin + 1 < nbins(f); ++bin) {
-                        // Counts are exact integers, so hl takes the
-                        // same values as a sum of 1.0 per row.
-                        gl += fg[bin];
-                        hl += static_cast<double>(fn[bin]);
+                        // The exact count of bins 0..bin takes the
+                        // same value as a sum of 1.0 per row.
+                        gl += feature_g[bin];
+                        const double hl = static_cast<double>(
+                            fh[bin * kBlockLanes] & count_mask);
                         const double gr = gsum - gl;
                         const double hr = hsum - hl;
                         if (hl < params.minChildWeight ||
@@ -318,48 +657,53 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
                             (similarity(gl, hl, params.lambda) +
                              similarity(gr, hr, params.lambda) -
                              parent_sim) - params.gamma;
-                        if (gain > best.gain) {
-                            best.gain = gain;
-                            best.feature = static_cast<int>(f);
-                            best.bin = static_cast<int>(bin);
+                        if (gain > split.gain) {
+                            split.gain = gain;
+                            split.feature = feature;
+                            split.bin = static_cast<int>(bin);
                         }
                     }
-                    cand[f] = best;
+                    if (split.gain > best.gain)
+                        best = split;
                 }
+                return best;
             };
+            SplitCand best;
             {
-                obs::ScopedTimer timer("gbt.split");
-                if (wide) {
-                    ThreadPool::global().parallelFor(
-                        0, static_cast<int64_t>(nf), 1, scan_features);
-                } else {
-                    scan_features(0, static_cast<int64_t>(nf));
-                }
+                obs::ScopedTimer timer("gbt.recheck");
+                for (size_t k = 0; k < node_rows; ++k)
+                    gord[k] = grad[node_idx[k]];
+                best = decide(candidates);
             }
-            double best_gain = 0.0;
-            int best_feature = -1;
-            int best_bin = -1;
-            for (size_t f = 0; f < nf; ++f) {
-                if (cand[f].gain > best_gain) {
-                    best_gain = cand[f].gain;
-                    best_feature = cand[f].feature;
-                    best_bin = cand[f].bin;
-                }
+            if constexpr (kCheckedBuild) {
+                // The margin is a proof; check it anyway: the decision
+                // over every feature must pick the same split.
+                std::vector<int> all(nf);
+                std::iota(all.begin(), all.end(), 0);
+                const SplitCand full = decide(all);
+                boreas_check(full.feature == best.feature &&
+                             full.bin == best.bin &&
+                             std::memcmp(&full.gain, &best.gain,
+                                         sizeof(double)) == 0,
+                             "split search kept %zu candidates and chose "
+                             "feature %d bin %d; all features give %d/%d",
+                             candidates.size(), best.feature, best.bin,
+                             full.feature, full.bin);
             }
 
-            if (best_feature < 0) {
+            if (best.feature < 0) {
                 settle(task, leaf);
                 continue; // no profitable split: leaf
             }
 
             // Partition the row range by the winning bin. For a
-            // finite x, code <= best_bin exactly when
-            // x <= cuts[best_bin] (binFeatures' lower_bound), the
+            // finite x, code <= best.bin exactly when
+            // x <= cuts[best.bin] (binFeatures' lower_bound), the
             // node's threshold: the same side GBTTree::predict takes.
-            const uint8_t *split_col = binned.col(best_feature);
+            const uint8_t *split_col = binned.col(best.feature);
             const auto mid_it = std::partition(
                 rows.begin() + task.begin, rows.begin() + task.end,
-                [&](int r) { return split_col[r] <= best_bin; });
+                [&](int r) { return split_col[r] <= best.bin; });
             const size_t mid = static_cast<size_t>(
                 mid_it - rows.begin());
             if (mid == task.begin || mid == task.end) {
@@ -373,14 +717,53 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
             tree.nodes.push_back({});
 
             GBTNode &node = tree.nodes[task.node];
-            node.feature = best_feature;
-            node.threshold = binned.cuts[best_feature][best_bin];
+            node.feature = best.feature;
+            node.threshold = binned.cuts[best.feature][best.bin];
             node.left = left;
             node.right = right;
-            node.gain = best_gain;
+            node.gain = best.gain;
 
-            stack.push_back({left, task.begin, mid, task.depth + 1});
-            stack.push_back({right, mid, task.end, task.depth + 1});
+            // Children's histograms: build the smaller child's, and
+            // take the larger's as parent - smaller, in place and
+            // exact. A child that cannot split needs none.
+            Task lo{left, task.begin, mid, task.depth + 1, -1};
+            Task hi{right, mid, task.end, task.depth + 1, -1};
+            Task &small = mid - task.begin <= task.end - mid ? lo : hi;
+            Task &large = &small == &lo ? hi : lo;
+            const bool small_splits =
+                may_split(small.depth, small.end - small.begin);
+            const bool large_splits =
+                may_split(large.depth, large.end - large.begin);
+            if (small_splits || large_splits) {
+                const int slot = acquire();
+                {
+                    obs::ScopedTimer timer("gbt.histogram");
+                    build_hist(slot, small.begin, small.end);
+                }
+                if (large_splits) {
+                    obs::ScopedTimer timer("gbt.subtract");
+                    int64_t *parent = pool[task.hist].data();
+                    const int64_t *child = pool[slot].data();
+                    for (size_t blk = 0; blk < num_blocks; ++blk) {
+                        const size_t base = blk * kBlockSlots;
+                        for (size_t i = 0; i < block_bins[blk] * kBlockLanes;
+                             ++i)
+                            parent[base + i] -= child[base + i];
+                    }
+                    large.hist = task.hist;
+                } else {
+                    free_slots.push_back(task.hist);
+                }
+                if (small_splits)
+                    small.hist = slot;
+                else
+                    free_slots.push_back(slot);
+            } else {
+                free_slots.push_back(task.hist);
+            }
+
+            stack.push_back(lo);
+            stack.push_back(hi);
         }
 
         trees_.push_back(std::move(tree));
@@ -404,6 +787,10 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
         }
         checkValuesInRange(pred.data(), pred.size(), -1e12, 1e12,
                            "GBT training prediction");
+        boreas_check(free_slots.size() == pool.size(),
+                     "%zu of %zu histogram slots still held after "
+                     "training", pool.size() - free_slots.size(),
+                     pool.size());
     }
 }
 
@@ -555,7 +942,8 @@ GBTRegressor::tryLoad(std::istream &is, std::string *error)
                          strfmt("bad GBT model: tree count %zu out of "
                                 "range", num_trees));
     m.trees_.assign(num_trees, {});
-    for (auto &tree : m.trees_) {
+    for (size_t t = 0; t < num_trees; ++t) {
+        GBTTree &tree = m.trees_[t];
         size_t num_nodes = 0;
         is >> num_nodes;
         if (is.fail())
@@ -608,6 +996,14 @@ GBTRegressor::tryLoad(std::istream &is, std::string *error)
                 has_parent[child] = 1;
             }
         }
+        // A tree the flat serving engine cannot pad would abort its
+        // compile; reject it here, where the caller can recover.
+        const int depth = tree.depth();
+        if (depth > FlatGBT::kMaxDepth)
+            return loadError(error,
+                             strfmt("bad GBT model: tree %zu depth %d "
+                                    "exceeds the serving limit %d", t,
+                                    depth, FlatGBT::kMaxDepth));
     }
     *this = std::move(m);
     return true;

@@ -127,7 +127,9 @@ class GBTRegressor
      * Deserialize without aborting. Counts and node indices are
      * validated before use, so a corrupt stream cannot trigger a
      * giant allocation or yield a model whose predict() reads out of
-     * bounds. On malformed input returns false, sets *error (if
+     * bounds, and no tree may be deeper than the flat serving
+     * engine's padding (FlatGBT::kMaxDepth), so every loaded model
+     * compiles. On malformed input returns false, sets *error (if
      * given) and leaves the model unchanged.
      */
     bool tryLoad(std::istream &is, std::string *error = nullptr);

@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 
+#include "common/checked.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "ml/gbt.hh"
+#include "ml/gbt_flat.hh"
+#include "obs/metrics.hh"
 #include "test_util.hh"
 
 using namespace boreas;
@@ -104,6 +108,35 @@ byteCodeBoundaryData(size_t n, uint64_t seed)
     return d;
 }
 
+/**
+ * Columns that tie by construction: `a`, its exact duplicate, a
+ * strictly monotone transform (the same partitions through other
+ * cuts) and its negation (mirror partitions, whose double sums round
+ * differently from `a`'s), and the same for a small-integer column.
+ * The negations come first, so a tie that rounding resolves towards
+ * `a` must not fall to the lower feature. The target carries large
+ * offsets that alternate by row, so the row-order double sums of the
+ * gradients differ from their exact values in the low bits.
+ */
+Dataset
+tieResolutionData(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    Dataset d({"neg_a", "a", "a_dup", "a_cube", "neg_b", "b", "b_scaled",
+               "c"});
+    for (size_t i = 0; i < n; ++i) {
+        const double a = rng.uniform(0.0, 1.0);
+        const double b = std::round(rng.uniform(0.0, 6.0));
+        const double c = rng.uniform(-1.0, 1.0);
+        const double offset = (i % 2 == 0 ? 1.0 : -1.0) * 1e5;
+        const double y = 3.0 * a - 0.7 * b + (c > 0.2 ? 1.0 : 0.0) +
+            offset + rng.normal(0.0, 0.1);
+        d.addRow({-a, a, a, a * a * a + 2.0, -b, b, 1000.0 * b + 7.0, c},
+                 y, static_cast<int>(i % 4));
+    }
+    return d;
+}
+
 /** Restores the global pool to its default size on scope exit. */
 struct GlobalPoolGuard
 {
@@ -175,6 +208,112 @@ TEST(GBT, ByteCodeBoundaryGoldenDigest)
         EXPECT_EQ(modelDigest(model), 0x1b96c500e8497194ULL)
             << threads << " threads";
     }
+}
+
+TEST(GBT, TieResolutionGoldenDigest)
+{
+    // Pinned golden values, like TrainedModelGoldenDigest, on columns
+    // that tie exactly (duplicates, monotone transforms) or up to
+    // rounding (negations). Which feature wins such a tie is decided
+    // by the row-order double sums, so these digests move if anything
+    // else decides it.
+    GlobalPoolGuard guard;
+    const Dataset data = tieResolutionData(600, 43);
+    struct Case
+    {
+        GBTParams params;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {GBTParams{}, 0x95226f15f1d2dcd9ULL}, // Table II
+        {GBTParams{.gamma = 0.5}, 0x18303f490b1a0c94ULL},
+        {GBTParams{.lambda = 0.0, .minChildWeight = 0.0},
+         0xa9941fd616c71b06ULL},
+    };
+    for (const int threads : {1, 4}) {
+        ThreadPool::resetGlobal(threads);
+        for (const Case &c : cases) {
+            GBTRegressor model;
+            model.train(data, c.params);
+            EXPECT_EQ(modelDigest(model), c.digest)
+                << threads << " threads, gamma " << c.params.gamma
+                << ", lambda " << c.params.lambda;
+        }
+    }
+
+    // The integer search passes more than one feature per split node
+    // to the decision stage, so the ties above reach it.
+    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
+    struct MetricsGuard
+    {
+        ~MetricsGuard()
+        {
+            obs::MetricsRegistry::global().setEnabled(false);
+            obs::MetricsRegistry::global().reset();
+        }
+    } metrics_guard;
+    metrics.setEnabled(true);
+    for (const Case &c : {cases[0], cases[1]}) {
+        metrics.reset();
+        GBTRegressor model;
+        model.train(data, c.params);
+        size_t split_nodes = 0;
+        for (const auto &tree : model.trees())
+            for (const auto &node : tree.nodes)
+                split_nodes += node.feature >= 0;
+        const obs::MetricsSnapshot snap = metrics.snapshot();
+        ASSERT_GT(split_nodes, 0u);
+        EXPECT_GT(snap.counters.at("gbt.split_candidates"), split_nodes)
+            << "gamma " << c.params.gamma;
+    }
+}
+
+TEST(GBT, DoubleSumsDecideWhatFixedPointInverts)
+{
+    // Two features split the same 64 rows alike except for four rows
+    // with gradients of a fraction of the fixed-point step 2^-44 (the
+    // round's max |g| is 1). Exactly, feature b's left side sums
+    // 0.96 step below a's, so b scores the higher gain, and the
+    // row-order double sums resolve that; rounded to the step, the
+    // order inverts. The split must still go to b: the integer search
+    // passes both features on, within its margin, and the double sums
+    // decide.
+    const double step = std::ldexp(1.0, -44);
+    Dataset d({"b", "a"});
+    auto pair = [&](double y, double xb, double xa, double xb2,
+                    double xa2) {
+        // Targets come in +y, -y pairs, so the mean is exactly 0 and
+        // every gradient is exactly -y.
+        d.addRow({xb, xa}, y, 0);
+        d.addRow({xb2, xa2}, -y, 0);
+    };
+    for (int i = 0; i < 28; ++i)
+        pair(1.0, 0.0, 0.0, 1.0, 1.0); // g = -1 left, +1 right
+    pair(-0.49 * step, 1.0, 0.0, 1.0, 1.0); // q = 0: left in a
+    pair(-1.49 * step, 1.0, 0.0, 1.0, 1.0); // q = 1: left in a
+    pair(-0.51 * step, 0.0, 1.0, 1.0, 1.0); // q = 1: left in b
+    pair(-0.51 * step, 0.0, 1.0, 1.0, 1.0); // q = 1: left in b
+
+    GBTRegressor model;
+    model.train(d, GBTParams{.maxDepth = 1, .nEstimators = 1});
+    const GBTNode &root = model.trees()[0].nodes[0];
+    EXPECT_EQ(root.feature, 0);
+    EXPECT_EQ(root.threshold, 0.0);
+}
+
+TEST(GBT, NonFiniteTargetTrainsWithoutFixedPoint)
+{
+    // A NaN target makes every gradient NaN; the round's fixed-point
+    // scale must refuse it rather than round NaN to an integer. (The
+    // checked build rejects the row when it is added.)
+    if (kCheckedBuild)
+        GTEST_SKIP() << "checked builds reject non-finite targets";
+    Dataset d = stepData(200, 21);
+    d.addRow({0.5, 0.5}, std::numeric_limits<double>::quiet_NaN(), 0);
+    GBTRegressor model;
+    model.train(d, GBTParams{.nEstimators = 3});
+    EXPECT_EQ(model.numTrees(), 3u);
+    EXPECT_TRUE(std::isnan(model.predict({0.9, 0.5})));
 }
 
 TEST(GBT, BeatsTheMeanOnLinearData)
@@ -562,6 +701,31 @@ TEST(GBT, TryLoadRejectsSharedChild)
     EXPECT_FALSE(model.tryLoad(buf, &error));
     EXPECT_NE(error.find("node 1 has two parents"), std::string::npos)
         << error;
+}
+
+TEST(GBT, TryLoadRejectsTreeDeeperThanServingPadding)
+{
+    // The flat serving engine pads every tree to a perfect tree and
+    // refuses one deeper than kMaxDepth, so tryLoad rejects it: a
+    // right-leaning chain of kMaxDepth + 1 splits, each with a leaf on
+    // its left.
+    const int splits = FlatGBT::kMaxDepth + 1;
+    std::stringstream buf;
+    buf << "boreas-gbt 1\n0.3 0 3 1 1\n0.5 1 1\n"
+        << 2 * splits + 1 << "\n";
+    for (int i = 0; i < splits; ++i) {
+        buf << "0 " << i << " " << 2 * i + 1 << " " << 2 * i + 2
+            << " 0 0\n";
+        buf << "-1 0 -1 -1 " << i << " 0\n";
+    }
+    buf << "-1 0 -1 -1 " << splits << " 0\n";
+    GBTRegressor model;
+    std::string error;
+    EXPECT_FALSE(model.tryLoad(buf, &error));
+    EXPECT_NE(error.find("tree 0 depth 21 exceeds the serving limit 20"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(model.trained());
 }
 
 TEST(GBTDeathTest, TrainRejectsMaxBinsAbove256)

@@ -227,24 +227,25 @@ TEST(FlatGBT, StumpEnsembleAndEmptyBatchWork)
     flat.predictBatch(&x, 0, nullptr); // no rows: no touch, no crash
 }
 
-TEST(FlatGBTDeathTest, RejectsLoadedTreeDeeperThanPaddingLimit)
+
+TEST(FlatGBTDeathTest, RejectsTrainedTreeDeeperThanPaddingLimit)
 {
-    // load() bounds counts, indices and finiteness but not depth, so a
-    // model file can carry a tree the perfect-tree padding refuses: a
-    // right-leaning chain of kMaxDepth + 1 splits, each with a leaf on
-    // its left.
-    const int splits = FlatGBT::kMaxDepth + 1;
-    std::stringstream buf;
-    buf << "boreas-gbt 1\n0.3 0 3 1 1\n0.5 1 1\n"
-        << 2 * splits + 1 << "\n";
-    for (int i = 0; i < splits; ++i) {
-        buf << "0 " << i << " " << 2 * i + 1 << " " << 2 * i + 2
-            << " 0 0\n";
-        buf << "-1 0 -1 -1 " << i << " 0\n";
+    // A model built in code skips tryLoad's depth bound, so the
+    // compile keeps its own. Targets +-2^i, larger towards both ends
+    // of x, make each split peel off the row at one end, a chain
+    // deeper than the padding allows; they come in +- pairs, so the
+    // base is exactly 0.
+    Dataset d({"x"});
+    for (int i = 0; i < 40; ++i) {
+        d.addRow({static_cast<double>(i)}, std::ldexp(1.0, i), 0);
+        d.addRow({-1.0 - i}, -std::ldexp(1.0, i), 0);
     }
-    buf << "-1 0 -1 -1 " << splits << " 0\n";
     GBTRegressor model;
-    model.load(buf);
-    ASSERT_EQ(model.trees()[0].depth(), splits);
+    model.train(d, GBTParams{.learningRate = 1.0,
+                             .maxDepth = FlatGBT::kMaxDepth + 8,
+                             .nEstimators = 1,
+                             .lambda = 0.0,
+                             .minChildWeight = 0.0});
+    ASSERT_GT(model.trees()[0].depth(), FlatGBT::kMaxDepth);
     EXPECT_DEATH((void)FlatGBT(model), "padding limit");
 }
