@@ -424,9 +424,8 @@ BENCHMARK_TEMPLATE(BM_StateHash, Fnv1a)->Apply(microBench);
 BENCHMARK_TEMPLATE(BM_StateHash, StateHasher)->Apply(microBench);
 
 /**
- * One 32x32 warm-start steady state: the mode-space solve, the two
- * inverse transforms that publish it and the two forward transforms
- * of the re-ingest (DESIGN.md §9.7).
+ * One 32x32 warm-start steady state: the mode-space solve and the two
+ * inverse transforms that publish it (DESIGN.md §9.7).
  */
 static void
 BM_SteadyStateSolve(benchmark::State &bm)

@@ -100,15 +100,13 @@ timeDatasetBuild(BuiltData &out)
 }
 
 /** The timers of GBTRegressor::train (the gbt.flat_* ones time serving). */
-constexpr std::array<std::string_view, 5> kTrainTimers = {
-    "gbt.bin", "gbt.histogram", "gbt.subtract", "gbt.split", "gbt.recheck"};
+constexpr std::array<std::string_view, 4> kTrainTimers = {
+    "gbt.bin", "gbt.histogram", "gbt.subtract", "gbt.split"};
 
-/** What the training timers and the candidate counter have recorded. */
+/** What the training timers have recorded. */
 struct GbtPhases
 {
     std::map<std::string, double> seconds; ///< per training timer
-    uint64_t searchedNodes = 0;            ///< gbt.split calls
-    uint64_t candidates = 0;               ///< gbt.split_candidates
 
     double total() const
     {
@@ -129,12 +127,7 @@ gbtPhases()
         if (std::find(kTrainTimers.begin(), kTrainTimers.end(), name) !=
             kTrainTimers.end())
             p.seconds[name] = h.sum * 1e-6;
-        if (name == "gbt.split")
-            p.searchedNodes = h.count;
     }
-    const auto it = snap.counters.find("gbt.split_candidates");
-    if (it != snap.counters.end())
-        p.candidates = it->second;
     return p;
 }
 
@@ -192,12 +185,7 @@ main(int argc, char **argv)
         if (it != before.seconds.end())
             s -= it->second;
     }
-    fit.searchedNodes -= before.searchedNodes;
-    fit.candidates -= before.candidates;
     const double train_timed_share = fit.total() / train_serial;
-    const double candidates_per_node = fit.searchedNodes == 0 ? 0.0
-        : static_cast<double>(fit.candidates) /
-            static_cast<double>(fit.searchedNodes);
 
     ThreadPool::resetGlobal(threads);
     const double sweep_par = timeSweep();
@@ -224,9 +212,6 @@ main(int argc, char **argv)
     for (const auto &[name, s] : fit.seconds)
         std::printf(" %s %.3fs", name.c_str() + 4, s);
     std::printf("\n");
-    std::printf("gbt split search: %.2f candidate features per node "
-                "(%llu nodes)\n", candidates_per_node,
-                static_cast<unsigned long long>(fit.searchedNodes));
 
     report.config("threads", static_cast<double>(threads));
     report.config("thermal_step_us", step_us);
@@ -251,9 +236,5 @@ main(int argc, char **argv)
     report.comparison("gbt train serial wall under gbt.* timers",
                       ">= 0.90",
                       TextTable::num(train_timed_share, 3));
-    report.comparison("gbt candidate features per split node",
-                      "a few of " + std::to_string(
-                          data_serial.severity.numFeatures()),
-                      TextTable::num(candidates_per_node, 2));
     return 0;
 }

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <istream>
-#include <limits>
 #include <numeric>
 #include <ostream>
 #include <string>
@@ -16,7 +15,6 @@
 #include "common/parallel.hh"
 #include "common/simd.hh"
 #include "ml/gbt_flat.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace boreas
@@ -125,15 +123,9 @@ leafWeight(double g, double h, double lambda)
     return -g / (h + lambda);
 }
 
-double
-similarity(double g, double h, double lambda)
-{
-    return g * g / (h + lambda);
-}
-
 /**
  * Features per histogram block, one lane each. A bin's lanes are one
- * 64-byte line of int64 sums and one AVX-512 vector in the scan.
+ * 64-byte line of int64 sums.
  */
 constexpr size_t kBlockLanes = 8;
 
@@ -141,24 +133,14 @@ constexpr size_t kBlockLanes = 8;
 constexpr size_t kBlockSlots = kMaxBins * kBlockLanes;
 
 /**
- * Every partial sum of one round's quantized gradients stays below
- * 2^sumBits in magnitude: 62 - cb leaves room for the cb count bits
- * below it in an int64, and 51 keeps it exact through the scan's
- * double conversion.
- */
-int
-sumBits(int count_bits)
-{
-    return std::min(51, 62 - count_bits);
-}
-
-/**
  * The fixed-point scale of one round: the largest k with
- * max|g| * 2^k <= 2^sumBits / n - 1, so that
- * n * max|nearestInt(g * 2^k)| < 2^sumBits and no histogram sum
- * overflows. Returns false when the gradients are non-finite or so
- * far from 1 that the split-score bounds could leave the normal
- * double range; that round searches every feature.
+ * max|g| * 2^k <= 2^B / n - 1, so that n * max|nearestInt(g * 2^k)|
+ * < 2^B and every partial sum of the round's q is below 2^B in
+ * magnitude. B = min(51, 62 - cb): 62 - cb leaves room for the cb
+ * count bits below the sum in an int64, and 51 keeps it exact as a
+ * double. Returns false when the gradients are non-finite or so
+ * far from 1 that the gains could leave the normal double range; that
+ * round grows single-leaf trees.
  */
 bool
 chooseScale(double max_abs, size_t n, int count_bits, int *k)
@@ -169,7 +151,7 @@ chooseScale(double max_abs, size_t n, int count_bits, int *k)
     }
     if (!(max_abs >= 0x1p-200 && max_abs <= 0x1p200))
         return false;
-    const double limit = std::ldexp(1.0, sumBits(count_bits)) /
+    const double limit = std::ldexp(1.0, std::min(51, 62 - count_bits)) /
         static_cast<double>(n) - 1.0;
     if (!(limit >= 1.0))
         return false;
@@ -182,27 +164,16 @@ chooseScale(double max_abs, size_t n, int count_bits, int *k)
     return true;
 }
 
-/** Constants of one node's approximate scan (DESIGN.md §6). */
+/** Constants of one node's split scan (DESIGN.md §6). */
 struct ScanConsts
 {
     int countBits;     ///< cb
     int64_t countMask; ///< 2^cb - 1
     double rows;       ///< m, the node's row count
-    double minRows;    ///< smallest count minChildWeight admits
+    double minRows;    ///< fewest rows a child may hold, >= 1
     double lambda;
     double gradSum;    ///< the node's exact sum of q, as a double
 };
-
-/** An integer |q| < 2^51 as a double, exactly, without int64 -> double
- *  conversion instructions the vectorizer may lack. */
-inline double
-exactDouble(int64_t q)
-{
-    const int64_t bits = q + 0x4338000000000000LL; // 1.5 * 2^52
-    double d;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d - 0x1.8p52;
-}
 
 /** x rounded to the nearest integer, ties to even, for |x| < 2^51:
  *  adding 1.5 * 2^52 rounds x and leaves it in the low mantissa bits. */
@@ -215,119 +186,88 @@ nearestInt(double x)
     return bits - 0x4338000000000000LL;
 }
 
+/** Each lane's best split in one block: score num / den at bin `bin`;
+ *  a lane without a valid split keeps -1 / 1 at bin -1. */
+struct LaneBest
+{
+    double num[kBlockLanes];
+    double den[kBlockLanes];
+    double bin[kBlockLanes];
+};
+
 /**
- * Approximate split scores of one histogram block. The block holds,
- * per bin b and lane j, the packed sum over bins 0..b of lane j's
- * feature (DESIGN.md §6). For each of the first `positions` bins it
- * forms
+ * Four lanes of a block's bin. The AVX2 and AVX-512 clones compare
+ * these whole; GCC splits the compares of an eight-lane Strip into
+ * scalar ones in the AVX2 clone.
+ */
+typedef double Quad __attribute__((vector_size(32), aligned(32)));
+typedef int64_t IntQuad __attribute__((vector_size(32), aligned(32)));
+typedef uint64_t UintQuad __attribute__((vector_size(32), aligned(32)));
+constexpr size_t kQuadLanes = 4;
+
+/**
+ * The best split of every feature of one histogram block. The block
+ * holds, per bin b and lane j, the packed sum over bins 0..b of lane
+ * j's feature (DESIGN.md §6). Each of the first `positions` bins whose
+ * two children both hold at least minRows rows scores
  *
- *   s~ = QL^2 / (nL + lambda) + QR^2 / (nR + lambda)
+ *   s = QL^2 / (nL + lambda) + QR^2 / (nR + lambda)
+ *     = (QL^2 dR + QR^2 dL) / (dL dR)
  *
- * from those exact integer sums (QL, nL: bins 0..b; QR, nR: the
- * rest), in units of 2^-2k, and writes each lane's largest s~ over
- * the positions minChildWeight admits (-inf if none) to best[j].
- *
- * Two passes, so that each vectorizes: per (bin, lane), branch-free,
- * s~ as a fraction num / den; then a per-lane max that folds the upper
- * half of the positions onto the lower half, comparing fractions by
- * cross-multiplying, so that only the eight winners are divided. The
- * clones round differently; that is allowed, since only the decision
- * stage sets the model's bits.
+ * from those exact integer sums (QL, nL: bins 0..b; QR, nR: the rest),
+ * in units of 2^-2k, as the fraction num / den. Positions past a
+ * lane's last split hold every row on the left, so the count test
+ * masks them, and an unused lane's zero sums too. Each lane keeps a
+ * running best in bin order by strict cross-multiplied >, so the
+ * lowest bin wins a tie. A lane starts from -1 / 1 and an invalid
+ * position scores the same, which beats neither that start nor a
+ * valid split's num >= 0 over den > 0. Lanes are independent and each
+ * runs the same correctly rounded operations, so every clone gives
+ * the same bits (§9.6).
  */
 BOREAS_TARGET_CLONES("avx512f", "avx2", "default")
 void
-approxBlockScores(const int64_t *__restrict prefix, size_t positions,
-                  const ScanConsts &c, double *__restrict num,
-                  double *__restrict den, double *__restrict best)
+blockBest(const int64_t *__restrict prefix, size_t positions,
+          const ScanConsts &c, LaneBest *__restrict best)
 {
-    // The biased logical shift is an arithmetic shift of the sum field
-    // (|sum| < 2^62), which AVX2 lacks for 64-bit lanes. An invalid
-    // position scores -1 / 1, below every valid one.
+    // An integer |x| < 2^51 plus the bits of 1.5 * 2^52, read as a
+    // double, less 1.5 * 2^52, is x: AVX2 has no int64 -> double
+    // conversion. The biased logical shift is an arithmetic shift of
+    // the sum field (|sum| < 2^62), which AVX2 lacks for 64-bit lanes.
+    // A cast between vector types keeps the bits.
+    constexpr int64_t kMagic = 0x4338000000000000LL; // 1.5 * 2^52
     constexpr uint64_t kBias = uint64_t(1) << 62;
     const int64_t unbias = static_cast<int64_t>(kBias >> c.countBits);
-    const size_t slots = positions * kBlockLanes;
-    for (size_t i = 0; i < slots; ++i) {
-        const int64_t v = prefix[i];
-        const double nl = exactDouble(v & c.countMask);
-        const double gl = exactDouble(
-            static_cast<int64_t>((static_cast<uint64_t>(v) + kBias) >>
-                                 c.countBits) - unbias);
-        const double gr = c.gradSum - gl;
-        const double dl = nl + c.lambda;
-        const double dr = (c.rows - nl) + c.lambda;
-        const bool valid = nl >= c.minRows && c.rows - nl >= c.minRows;
-        num[i] = valid ? gl * gl * dr + gr * gr * dl : -1.0;
-        den[i] = valid ? dl * dr : 1.0;
-    }
-
-    std::fill_n(best, kBlockLanes, -std::numeric_limits<double>::infinity());
-    if (positions == 0)
-        return;
-    for (size_t left = positions; left > 1;) {
-        const size_t half = left / 2;
-        const size_t upper = (left - half) * kBlockLanes;
-        for (size_t i = 0; i < half * kBlockLanes; ++i) {
-            const bool take =
-                num[upper + i] * den[i] > num[i] * den[upper + i];
-            num[i] = take ? num[upper + i] : num[i];
-            den[i] = take ? den[upper + i] : den[i];
+    const Quad zero = {};
+    for (size_t h = 0; h < kBlockLanes; h += kQuadLanes) {
+        Quad bnum = zero - 1.0, bden = zero + 1.0, bbin = zero - 1.0;
+        for (size_t b = 0; b < positions; ++b) {
+            IntQuad v;
+            std::memcpy(&v, prefix + b * kBlockLanes + h, sizeof(v));
+            const IntQuad q =
+                (IntQuad)(((UintQuad)v + kBias) >> c.countBits) - unbias;
+            const Quad nl = (Quad)((v & c.countMask) + kMagic) - 0x1.8p52;
+            const Quad ql = (Quad)(q + kMagic) - 0x1.8p52;
+            const Quad qr = c.gradSum - ql;
+            const Quad nr = c.rows - nl;
+            const Quad dl = nl + c.lambda;
+            const Quad dr = nr + c.lambda;
+            const Quad fewer = nl < nr ? nl : nr;
+            const Quad num = fewer < c.minRows
+                ? zero - 1.0 : ql * ql * dr + qr * qr * dl;
+            const Quad den = fewer < c.minRows ? zero + 1.0 : dl * dr;
+            const Quad mine = num * bden;
+            const Quad held = bnum * den;
+            bnum = mine > held ? num : bnum;
+            bden = mine > held ? den : bden;
+            bbin = mine > held ? zero + static_cast<double>(b) : bbin;
         }
-        left -= half;
+        for (size_t j = 0; j < kQuadLanes; ++j) {
+            best->num[h + j] = bnum[j];
+            best->den[h + j] = bden[j];
+            best->bin[h + j] = bbin[j];
+        }
     }
-    for (size_t j = 0; j < kBlockLanes; ++j) {
-        if (num[j] >= 0.0)
-            best[j] = num[j] / den[j];
-    }
-}
-
-/**
- * Bound on |s~ - s| over one node's valid splits, in the units of s,
- * widened by the rounding that can make two different s values give
- * the same gain (DESIGN.md §6). s is the score the decision stage
- * computes from row-order double sums, s~ the approximate scan's.
- *
- *   rows      m, the node's row count
- *   maxAbs    the round's max |g|, so the node's sum of |g| is at
- *             most S = m * maxAbs
- *   k         the round's fixed-point exponent
- *   minDenom  lambda + max(minChildWeight, 0) > 0: no denominator of
- *             a valid split is smaller
- *   rho       max(1, max(minChildWeight, 0) / minDenom): bounds
- *             count / (count + lambda) on valid splits
- */
-double
-scoreMargin(size_t rows, double max_abs, int k, double min_denom,
-            double rho, double parent_sim, double gamma)
-{
-    constexpr double u = 0x1p-53; // unit roundoff
-    const double m = static_cast<double>(rows);
-    // gamma_{m+257}: any summation tree over the node's rows plus the
-    // scan's bin prefix has fewer than m + 257 rounded adds on a path.
-    const double c = (m + 257.0) * u / (1.0 - (m + 257.0) * u);
-    const double h = std::ldexp(1.0, -k - 1); // quantization half-step
-    const double S = m * max_abs;
-    // First order: |G^2 - g^2| / d <= e (2|G|) / d, and
-    // |G| / d <= rho * maxAbs on a valid split. Row-order sums err by
-    // c * S_L on the left and (2c + 2u) S on the right (via gsum).
-    const double double_sums = 2.0 * rho * max_abs * S * (3.0 * c + 2.0 * u);
-    // Integer sums err by nL * h on the left (nR * h on the right), and
-    // nL / d <= rho.
-    const double fixed_point = 2.0 * rho * S * (h + u * max_abs);
-    // Second order: e^2 / d over both sides and both paths.
-    const double e_sums = (2.0 * c + 3.0 * u) * S;
-    const double second = 8.0 *
-        (m * rho * h * h + e_sums * e_sums / min_denom);
-    // Every s and s~ is at most T. Each formula rounds a few times, and
-    // the scan's per-feature max compares fractions by products.
-    const double T = 2.0 * rho * max_abs * S + second;
-    const double formula = 128.0 * u * T;
-    // gain = 0.5 (s - P) - gamma rounds twice: two splits whose s
-    // differ by less than this can score the same gain, and a split
-    // with s this far below P + 2 gamma can still score gain > 0.
-    const double ties = 8.0 * u * (T + std::fabs(parent_sim) +
-                                   std::fabs(gamma));
-    return 2.0 * (double_sums + fixed_point + second + formula + ties) +
-        64.0 * std::numeric_limits<double>::min();
 }
 
 /** tryLoad's failure exit: report `message` through `error`. */
@@ -351,6 +291,8 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
                   params.maxBins <= static_cast<int>(kMaxBins),
                   "maxBins %d outside [2, %zu]: bin codes are one byte",
                   params.maxBins, kMaxBins);
+    boreas_assert(params.lambda >= 0.0 && std::isfinite(params.lambda),
+                  "lambda %g must be finite and >= 0", params.lambda);
     params_ = params;
     numFeatures_ = data.numFeatures();
     trees_.clear();
@@ -365,18 +307,14 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
     // Split-search histograms (DESIGN.md §6): one int64 per (feature,
     // bin) holding q-sum * 2^cb + row count, summed over bins 0..b, in
     // blocks of at most kBlockLanes features split evenly. Feature f
-    // sits in lane lane_of[f] of block block_of[f]; block_bins is the
+    // sits in lane f - block_begin(blk) of its block; block_bins is the
     // widest of a block's features.
     const size_t num_blocks = (nf + kBlockLanes - 1) / kBlockLanes;
     auto block_begin = [&](size_t blk) { return blk * nf / num_blocks; };
-    std::vector<size_t> block_of(nf), lane_of(nf), block_bins(num_blocks);
-    for (size_t blk = 0; blk < num_blocks; ++blk) {
-        for (size_t f = block_begin(blk); f < block_begin(blk + 1); ++f) {
-            block_of[f] = blk;
-            lane_of[f] = f - block_begin(blk);
+    std::vector<size_t> block_bins(num_blocks);
+    for (size_t blk = 0; blk < num_blocks; ++blk)
+        for (size_t f = block_begin(blk); f < block_begin(blk + 1); ++f)
             block_bins[blk] = std::max(block_bins[blk], nbins(f));
-        }
-    }
     const int count_bits = std::bit_width(n);
     const int64_t count_mask = (int64_t(1) << count_bits) - 1;
 
@@ -399,23 +337,10 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
         return slot;
     };
 
-    // The margin needs every valid split's denominator bounded away
-    // from 0, and the scan's cross-multiplied scores inside the normal
-    // double range; without that, every feature is a candidate. The
-    // scan also scores a block's positions past a short feature's last
-    // split, where every row is on the left: minChildWeight > 0 rejects
-    // them, and otherwise they score the parent's own similarity,
-    // which hides no split of gain > 0 unless gamma < 0.
-    const double min_rows_real = std::max(params.minChildWeight, 0.0);
-    const double min_denom = params.lambda + min_rows_real;
-    const bool margin_exists = min_denom >= 0x1p-300 &&
-        std::isfinite(min_denom) && std::fabs(params.lambda) <= 0x1p100 &&
-        (min_rows_real > 0.0 || params.gamma >= 0.0);
-    const double rho = margin_exists
-        ? std::max(1.0, min_rows_real / min_denom) : 0.0;
-    // The smallest integer count c with double(c) >= minChildWeight.
-    const double min_rows = std::min(std::ceil(min_rows_real),
-                                     static_cast<double>(n + 1));
+    // The fewest rows a child may hold: the smallest integer count c
+    // with double(c) >= minChildWeight, and at least 1, so no split
+    // leaves a side empty.
+    const double min_rows = std::max(1.0, std::ceil(params.minChildWeight));
 
     // Below this many (row, feature) visits a histogram build is
     // cheaper serial than fanned out.
@@ -425,12 +350,7 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
     std::vector<double> grad(n, 0.0);
     std::vector<int64_t> packed(n);
     std::vector<int64_t> pord(n); // a child's packed values, `rows` order
-    std::vector<double> gord(n);  // a node's gradients, `rows` order
     std::vector<int> rows(n);
-    std::vector<double> approx_best(nf); // approximate best s per feature
-    std::vector<double> scan_num(kBlockSlots), scan_den(kBlockSlots);
-    std::vector<int> candidates;
-    std::vector<double> feature_g(kMaxBins); // a candidate's double sums
 
     // Integer histograms of rows [begin, end) into `slot`. A block
     // zeroes its bins, walks the rows once and adds each packed value
@@ -463,8 +383,8 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
                     }
                 }
                 // Cumulative over the bins: each entry now sums bins
-                // 0..b, which is what the scan and the decision read,
-                // and parent - child stays exact.
+                // 0..b, which is what the split scan reads, and
+                // parent - child stays exact.
                 for (size_t i = kBlockLanes; i < used; ++i)
                     block[i] += block[i - kBlockLanes];
             }
@@ -478,8 +398,8 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
     };
 
     for (int t = 0; t < params.nEstimators; ++t) {
-        // A NaN gradient makes the max NaN too, so chooseScale turns
-        // the integer search off for the round.
+        // A NaN gradient makes the max NaN too, so chooseScale refuses
+        // the round.
         double max_abs_grad = 0.0;
         for (size_t i = 0; i < n; ++i) {
             grad[i] = pred[i] - data.y(i);
@@ -489,8 +409,12 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
         }
 
         // Every round partitions all rows afresh from 0..n-1: the
-        // decision stage's accumulation order follows this order.
+        // leaf weights' accumulation order follows this order.
         std::iota(rows.begin(), rows.end(), 0);
+
+        int scale_exp = 0; // k, the round's fixed-point exponent
+        const bool scaled =
+            chooseScale(max_abs_grad, n, count_bits, &scale_exp);
 
         GBTTree tree;
         // Recursive level-wise growth over index ranges of `rows`. A
@@ -504,33 +428,24 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
             int hist;
         };
         // A node at `depth` with `count` rows is searched unless it
-        // must stay a leaf.
+        // must stay a leaf. A round without a scale searches none.
         auto may_split = [&](int depth, size_t count) {
-            return depth < params.maxDepth &&
-                !(static_cast<double>(count) <
-                  2.0 * params.minChildWeight);
+            return scaled && depth < params.maxDepth &&
+                static_cast<double>(count) >= 2.0 * min_rows;
         };
         tree.nodes.push_back({});
         std::vector<Task> stack{{0, 0, n, 0, -1}};
 
         // Quantize once per round: q_i = g_i * 2^k rounded to the
-        // nearest integer, packed with a count of 1. A round without a
-        // scale packs counts only and searches every feature.
-        int scale_exp = 0; // k, the round's fixed-point exponent
-        bool search = false;
-        {
+        // nearest integer, packed with a count of 1.
+        if (may_split(0, n)) {
             obs::ScopedTimer timer("gbt.histogram");
-            search = margin_exists &&
-                chooseScale(max_abs_grad, n, count_bits, &scale_exp);
             const double scale = std::ldexp(1.0, scale_exp);
-            for (size_t i = 0; i < n; ++i) {
-                const int64_t q = search ? nearestInt(grad[i] * scale) : 0;
-                packed[i] = q * (int64_t(1) << count_bits) + 1;
-            }
-            if (may_split(0, n)) {
-                stack[0].hist = acquire();
-                build_hist(stack[0].hist, 0, n);
-            }
+            for (size_t i = 0; i < n; ++i)
+                packed[i] = nearestInt(grad[i] * scale) *
+                    (int64_t(1) << count_bits) + 1;
+            stack[0].hist = acquire();
+            build_hist(stack[0].hist, 0, n);
         }
 
         // A task that ends as a leaf settles its rows: the partitions
@@ -565,151 +480,82 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
             }
 
             const int64_t *hist = pool[task.hist].data();
-            const double parent_sim =
-                similarity(gsum, hsum, params.lambda);
+            // Feature 0's last bin sums every row of the node.
+            const int64_t node_sum = hist[(nbins(0) - 1) * kBlockLanes];
+            if constexpr (kCheckedBuild) {
+                // Every feature's last bin must hold the node's
+                // (sum of q, rows), or a sibling subtraction went wrong.
+                int64_t expect = 0;
+                for (size_t k = task.begin; k < task.end; ++k)
+                    expect += packed[rows[k]];
+                for (size_t f = 0, blk = 0; f < nf; ++f) {
+                    blk += f == block_begin(blk + 1);
+                    const int64_t last = hist[blk * kBlockSlots +
+                        (nbins(f) - 1) * kBlockLanes + f - block_begin(blk)];
+                    boreas_check(last == expect,
+                                 "feature %zu histogram sums %lld, its "
+                                 "node %lld", f, static_cast<long long>(last),
+                                 static_cast<long long>(expect));
+                }
+            }
 
-            // Stage 1, the exact integer search: score every split
-            // approximately from the integer sums and keep the
-            // features whose best score could still win, given the
-            // proven margin on the scores.
+            // The split search, on the exact integer sums alone: each
+            // block's lane winners, merged in feature order by the same
+            // strict cross-multiplied >, so the lowest feature wins a
+            // tie.
+            const ScanConsts consts{
+                count_bits, count_mask, hsum, min_rows, params.lambda,
+                static_cast<double>(node_sum >> count_bits)};
+            double best_num = -1.0, best_den = 1.0;
+            int best_feature = -1;
+            int best_bin = -1;
             {
                 obs::ScopedTimer timer("gbt.split");
-                const double margin = search
-                    ? scoreMargin(node_rows, max_abs_grad, scale_exp,
-                                  min_denom, rho, parent_sim,
-                                  params.gamma)
-                    : std::numeric_limits<double>::infinity();
-                candidates.clear();
-                if (std::isfinite(margin)) {
-                    // Feature 0's last bin sums every row of the node.
-                    const int64_t packed_sum =
-                        hist[(nbins(0) - 1) * kBlockLanes];
-                    const ScanConsts consts{
-                        count_bits, count_mask, hsum, min_rows,
-                        params.lambda,
-                        exactDouble(packed_sum >> count_bits)};
-                    // A few microseconds per block whatever the node's
-                    // size: cheaper serial than fanned out.
-                    for (size_t blk = 0; blk < num_blocks; ++blk) {
-                        double best[kBlockLanes];
-                        approxBlockScores(hist + blk * kBlockSlots,
-                                          block_bins[blk] - 1, consts,
-                                          scan_num.data(),
-                                          scan_den.data(), best);
-                        const size_t f_lo = block_begin(blk);
-                        for (size_t f = f_lo; f < block_begin(blk + 1); ++f)
-                            approx_best[f] = std::ldexp(best[f - f_lo],
-                                                        -2 * scale_exp);
-                    }
-                    const double top = *std::max_element(
-                        approx_best.begin(), approx_best.end());
-                    const double floor = std::max(
-                        top - 2.0 * margin,
-                        parent_sim + 2.0 * params.gamma - margin);
-                    for (size_t f = 0; f < nf; ++f)
-                        if (approx_best[f] >= floor)
-                            candidates.push_back(static_cast<int>(f));
-                } else {
-                    for (size_t f = 0; f < nf; ++f)
-                        candidates.push_back(static_cast<int>(f));
-                }
-                obs::MetricsRegistry::global().add("gbt.split_candidates",
-                                                   candidates.size());
-            }
-
-            // Stage 2, the exact decision on the candidates alone:
-            // row-order double histograms, a bin-order prefix, the gain
-            // expression and strict >, merged in feature order, so the
-            // winner, its threshold and its gain have the bits a scan
-            // of every feature gives. Ties resolve to the lowest
-            // feature, then the lowest bin.
-            struct SplitCand
-            {
-                double gain = 0.0;
-                int feature = -1;
-                int bin = -1;
-            };
-            const int *node_idx = rows.data() + task.begin;
-            auto decide = [&](const std::vector<int> &feats) {
-                SplitCand best;
-                for (const int feature : feats) {
-                    const size_t f = static_cast<size_t>(feature);
-                    std::fill_n(feature_g.begin(), nbins(f), 0.0);
-                    const uint8_t *col = binned.col(f);
-                    for (size_t k = 0; k < node_rows; ++k)
-                        feature_g[col[node_idx[k]]] += gord[k];
-                    const int64_t *fh =
-                        hist + block_of[f] * kBlockSlots + lane_of[f];
-                    SplitCand split;
-                    double gl = 0.0;
-                    for (size_t bin = 0; bin + 1 < nbins(f); ++bin) {
-                        // The exact count of bins 0..bin takes the
-                        // same value as a sum of 1.0 per row.
-                        gl += feature_g[bin];
-                        const double hl = static_cast<double>(
-                            fh[bin * kBlockLanes] & count_mask);
-                        const double gr = gsum - gl;
-                        const double hr = hsum - hl;
-                        if (hl < params.minChildWeight ||
-                            hr < params.minChildWeight)
+                // A few microseconds per block whatever the node's size:
+                // cheaper serial than fanned out.
+                for (size_t blk = 0; blk < num_blocks; ++blk) {
+                    LaneBest lanes;
+                    blockBest(hist + blk * kBlockSlots, block_bins[blk] - 1,
+                              consts, &lanes);
+                    const size_t f_lo = block_begin(blk);
+                    for (size_t f = f_lo; f < block_begin(blk + 1); ++f) {
+                        const size_t j = f - f_lo;
+                        if (!(lanes.num[j] * best_den >
+                              best_num * lanes.den[j]))
                             continue;
-                        const double gain = 0.5 *
-                            (similarity(gl, hl, params.lambda) +
-                             similarity(gr, hr, params.lambda) -
-                             parent_sim) - params.gamma;
-                        if (gain > split.gain) {
-                            split.gain = gain;
-                            split.feature = feature;
-                            split.bin = static_cast<int>(bin);
-                        }
+                        best_num = lanes.num[j];
+                        best_den = lanes.den[j];
+                        best_feature = static_cast<int>(f);
+                        best_bin = static_cast<int>(lanes.bin[j]);
                     }
-                    if (split.gain > best.gain)
-                        best = split;
                 }
-                return best;
-            };
-            SplitCand best;
-            {
-                obs::ScopedTimer timer("gbt.recheck");
-                for (size_t k = 0; k < node_rows; ++k)
-                    gord[k] = grad[node_idx[k]];
-                best = decide(candidates);
             }
-            if constexpr (kCheckedBuild) {
-                // The margin is a proof; check it anyway: the decision
-                // over every feature must pick the same split.
-                std::vector<int> all(nf);
-                std::iota(all.begin(), all.end(), 0);
-                const SplitCand full = decide(all);
-                boreas_check(full.feature == best.feature &&
-                             full.bin == best.bin &&
-                             std::memcmp(&full.gain, &best.gain,
-                                         sizeof(double)) == 0,
-                             "split search kept %zu candidates and chose "
-                             "feature %d bin %d; all features give %d/%d",
-                             candidates.size(), best.feature, best.bin,
-                             full.feature, full.bin);
-            }
-
-            if (best.feature < 0) {
+            // The node splits iff gain = 1/2 (s - P) - gamma > 0, with s
+            // and the parent's P in units of 2^-2k.
+            const double parent_score =
+                consts.gradSum * consts.gradSum / (hsum + params.lambda);
+            const double gain = std::ldexp(
+                0.5 * (best_num / best_den - parent_score),
+                -2 * scale_exp) - params.gamma;
+            if (best_feature < 0 || !(gain > 0.0)) {
                 settle(task, leaf);
                 continue; // no profitable split: leaf
             }
 
             // Partition the row range by the winning bin. For a
-            // finite x, code <= best.bin exactly when
-            // x <= cuts[best.bin] (binFeatures' lower_bound), the
+            // finite x, code <= best_bin exactly when
+            // x <= cuts[best_bin] (binFeatures' lower_bound), the
             // node's threshold: the same side GBTTree::predict takes.
-            const uint8_t *split_col = binned.col(best.feature);
+            // The exact counts gave each side at least min_rows rows.
+            const uint8_t *split_col = binned.col(best_feature);
             const auto mid_it = std::partition(
                 rows.begin() + task.begin, rows.begin() + task.end,
-                [&](int r) { return split_col[r] <= best.bin; });
+                [&](int r) { return split_col[r] <= best_bin; });
             const size_t mid = static_cast<size_t>(
                 mid_it - rows.begin());
-            if (mid == task.begin || mid == task.end) {
-                settle(task, leaf);
-                continue; // degenerate partition: leaf
-            }
+            boreas_check(mid > task.begin && mid < task.end,
+                         "split of feature %d at bin %d leaves a side "
+                         "empty", best_feature, best_bin);
 
             const int left = static_cast<int>(tree.nodes.size());
             tree.nodes.push_back({});
@@ -717,11 +563,11 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
             tree.nodes.push_back({});
 
             GBTNode &node = tree.nodes[task.node];
-            node.feature = best.feature;
-            node.threshold = binned.cuts[best.feature][best.bin];
+            node.feature = best_feature;
+            node.threshold = binned.cuts[best_feature][best_bin];
             node.left = left;
             node.right = right;
-            node.gain = best.gain;
+            node.gain = gain;
 
             // Children's histograms: build the smaller child's, and
             // take the larger's as parent - smaller, in place and

@@ -12,7 +12,10 @@
  *   gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda)
  *                - (GL+GR)^2/(HL+HR+lambda) ] - gamma
  *
- * with leaf weight -G/(H+lambda). alpha (the paper's name for the
+ * with leaf weight -G/(H+lambda). The split search evaluates the gain
+ * on each round's gradients in fixed point, from exact integer sums,
+ * so round-off never picks a split (DESIGN.md §6); leaf weights sum
+ * the gradients in double. alpha (the paper's name for the
  * learning rate), gamma, max_depth and n_estimators match Table II.
  * Each round's running predictions are settled from the grower's own
  * row partition: a node that ends as a leaf adds alpha * weight to the
@@ -43,7 +46,7 @@ struct GBTParams
     double gamma = 0.0;         ///< min loss reduction to split
     int maxDepth = 3;
     int nEstimators = 223;
-    double lambda = 1.0;        ///< L2 regularization on leaf weights
+    double lambda = 1.0;        ///< L2 regularization on leaf weights, >= 0
     double minChildWeight = 1.0;///< min hessian sum per child
     int maxBins = 256;          ///< bins per feature, in [2, 256]
 };

@@ -245,8 +245,6 @@ ThermalGrid::solveSteadyState()
     spectral_->solveSteadyState();
     spectral_->realizeSilicon(tSi_);
     spectral_->realizeSpreader(tSp_);
-    // Pinned runs start from the round-tripped modes (DESIGN.md §9.7).
-    spectral_->loadState(tSi_, tSp_, spectral_->sinkTemp());
     siValid_ = true;
     spValid_ = true;
     lastDt_ = 0.0;

@@ -7,13 +7,13 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/checked.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "ml/gbt.hh"
 #include "ml/gbt_flat.hh"
-#include "obs/metrics.hh"
 #include "test_util.hh"
 
 using namespace boreas;
@@ -155,7 +155,7 @@ TEST(GBT, TrainedModelGoldenDigest)
     // moves them. Update only for a deliberate change of the model.
     GBTRegressor paper;
     paper.train(linearData(1000, 0.1, 31), GBTParams{}); // Table II
-    EXPECT_EQ(modelDigest(paper), 0xc5c3a8269e2fc28fULL);
+    EXPECT_EQ(modelDigest(paper), 0x95f5ee214fc3be2fULL);
 
     // Deep trees on tied integer features, with a gamma that prunes
     // some splits and a minChildWeight that stops some nodes: leaves
@@ -166,7 +166,7 @@ TEST(GBT, TrainedModelGoldenDigest)
                                            .maxDepth = 6,
                                            .nEstimators = 40,
                                            .minChildWeight = 8.0});
-    EXPECT_EQ(modelDigest(ties), 0xd5f474a654d1dc7bULL);
+    EXPECT_EQ(modelDigest(ties), 0xa79cd29bb5cd6479ULL);
     int deepest = 0, shallowest = 64;
     for (const auto &tree : ties.trees()) {
         deepest = std::max(deepest, tree.depth());
@@ -175,15 +175,15 @@ TEST(GBT, TrainedModelGoldenDigest)
     EXPECT_EQ(deepest, 6);
     EXPECT_LT(shallowest, 6);
 
-    // minChildWeight = 0 lets a split whose right side is empty win on
-    // rounding alone (gl, summed bin by bin, differs from the row-order
-    // gsum); its partition then leaves every row on one side and the
-    // node ends as a leaf after the partition.
+    // minChildWeight = 0 still leaves a row on each side of a split:
+    // the search reads exact row counts and skips a bin whose split
+    // would empty a side, also when its score rounds above the
+    // parent's. Deep trees then end where nodes run out of rows.
     GBTRegressor degenerate;
     degenerate.train(tieData(600, 33), GBTParams{.maxDepth = 8,
                                                  .nEstimators = 40,
                                                  .minChildWeight = 0.0});
-    EXPECT_EQ(modelDigest(degenerate), 0xf29b50629552c736ULL);
+    EXPECT_EQ(modelDigest(degenerate), 0x76ca59bf41179857ULL);
 }
 
 TEST(GBT, ByteCodeBoundaryGoldenDigest)
@@ -205,7 +205,7 @@ TEST(GBT, ByteCodeBoundaryGoldenDigest)
         ThreadPool::resetGlobal(threads);
         GBTRegressor model;
         model.train(data, params);
-        EXPECT_EQ(modelDigest(model), 0x1b96c500e8497194ULL)
+        EXPECT_EQ(modelDigest(model), 0xcbd058d7ecf5b45aULL)
             << threads << " threads";
     }
 }
@@ -213,9 +213,10 @@ TEST(GBT, ByteCodeBoundaryGoldenDigest)
 TEST(GBT, TieResolutionGoldenDigest)
 {
     // Pinned golden values, like TrainedModelGoldenDigest, on columns
-    // that tie exactly (duplicates, monotone transforms) or up to
-    // rounding (negations). Which feature wins such a tie is decided
-    // by the row-order double sums, so these digests move if anything
+    // that tie exactly (duplicates, monotone transforms, negations) or
+    // nearly (negations cut at other quantiles). The split search
+    // compares exact integer sums, so an exact tie goes to the lowest
+    // feature, then the lowest bin; these digests move if anything
     // else decides it.
     GlobalPoolGuard guard;
     const Dataset data = tieResolutionData(600, 43);
@@ -225,10 +226,10 @@ TEST(GBT, TieResolutionGoldenDigest)
         uint64_t digest;
     };
     const Case cases[] = {
-        {GBTParams{}, 0x95226f15f1d2dcd9ULL}, // Table II
-        {GBTParams{.gamma = 0.5}, 0x18303f490b1a0c94ULL},
+        {GBTParams{}, 0xace8ac0a22ca49dcULL}, // Table II
+        {GBTParams{.gamma = 0.5}, 0x0d30c1e4033569e6ULL},
         {GBTParams{.lambda = 0.0, .minChildWeight = 0.0},
-         0xa9941fd616c71b06ULL},
+         0xa61518568f74e246ULL},
     };
     for (const int threads : {1, 4}) {
         ThreadPool::resetGlobal(threads);
@@ -240,72 +241,55 @@ TEST(GBT, TieResolutionGoldenDigest)
                 << ", lambda " << c.params.lambda;
         }
     }
-
-    // The integer search passes more than one feature per split node
-    // to the decision stage, so the ties above reach it.
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    struct MetricsGuard
-    {
-        ~MetricsGuard()
-        {
-            obs::MetricsRegistry::global().setEnabled(false);
-            obs::MetricsRegistry::global().reset();
-        }
-    } metrics_guard;
-    metrics.setEnabled(true);
-    for (const Case &c : {cases[0], cases[1]}) {
-        metrics.reset();
-        GBTRegressor model;
-        model.train(data, c.params);
-        size_t split_nodes = 0;
-        for (const auto &tree : model.trees())
-            for (const auto &node : tree.nodes)
-                split_nodes += node.feature >= 0;
-        const obs::MetricsSnapshot snap = metrics.snapshot();
-        ASSERT_GT(split_nodes, 0u);
-        EXPECT_GT(snap.counters.at("gbt.split_candidates"), split_nodes)
-            << "gamma " << c.params.gamma;
-    }
 }
 
-TEST(GBT, DoubleSumsDecideWhatFixedPointInverts)
+TEST(GBT, SplitStructureIgnoresLastBit)
 {
-    // Two features split the same 64 rows alike except for four rows
-    // with gradients of a fraction of the fixed-point step 2^-44 (the
-    // round's max |g| is 1). Exactly, feature b's left side sums
-    // 0.96 step below a's, so b scores the higher gain, and the
-    // row-order double sums resolve that; rounded to the step, the
-    // order inverts. The split must still go to b: the integer search
-    // passes both features on, within its margin, and the double sums
-    // decide.
-    const double step = std::ldexp(1.0, -44);
-    Dataset d({"b", "a"});
-    auto pair = [&](double y, double xb, double xa, double xb2,
-                    double xa2) {
-        // Targets come in +y, -y pairs, so the mean is exactly 0 and
-        // every gradient is exactly -y.
-        d.addRow({xb, xa}, y, 0);
-        d.addRow({xb2, xa2}, -y, 0);
-    };
-    for (int i = 0; i < 28; ++i)
-        pair(1.0, 0.0, 0.0, 1.0, 1.0); // g = -1 left, +1 right
-    pair(-0.49 * step, 1.0, 0.0, 1.0, 1.0); // q = 0: left in a
-    pair(-1.49 * step, 1.0, 0.0, 1.0, 1.0); // q = 1: left in a
-    pair(-0.51 * step, 0.0, 1.0, 1.0, 1.0); // q = 1: left in b
-    pair(-0.51 * step, 0.0, 1.0, 1.0, 1.0); // q = 1: left in b
+    // A 1-ulp change of one target and a permutation of the rows move
+    // the row-order double sums of the gradients in their last bits.
+    // The split search reads exact sums of the fixed-point gradients,
+    // where correlated columns tie exactly, so every tree keeps its
+    // features, thresholds and child links.
+    const Dataset data = tieResolutionData(600, 43);
+    Dataset nudged({"neg_a", "a", "a_dup", "a_cube", "neg_b", "b",
+                    "b_scaled", "c"});
+    std::vector<double> x(data.numFeatures());
+    for (size_t k = 0; k < data.numRows(); ++k) {
+        const size_t r = (k * 7 + 3) % data.numRows(); // 7 is coprime
+        for (size_t f = 0; f < x.size(); ++f)
+            x[f] = data.x(r, f);
+        const double y =
+            r == 0 ? std::nextafter(data.y(r), 0.0) : data.y(r);
+        nudged.addRow(x, y, data.group(r));
+    }
 
-    GBTRegressor model;
-    model.train(d, GBTParams{.maxDepth = 1, .nEstimators = 1});
-    const GBTNode &root = model.trees()[0].nodes[0];
-    EXPECT_EQ(root.feature, 0);
-    EXPECT_EQ(root.threshold, 0.0);
+    GBTRegressor a, b;
+    a.train(data, GBTParams{});
+    b.train(nudged, GBTParams{});
+    ASSERT_EQ(a.numTrees(), b.numTrees());
+    for (size_t t = 0; t < a.numTrees(); ++t) {
+        const auto &na = a.trees()[t].nodes;
+        const auto &nb = b.trees()[t].nodes;
+        ASSERT_EQ(na.size(), nb.size()) << "tree " << t;
+        for (size_t i = 0; i < na.size(); ++i) {
+            EXPECT_EQ(na[i].feature, nb[i].feature)
+                << "tree " << t << " node " << i;
+            EXPECT_EQ(na[i].threshold, nb[i].threshold)
+                << "tree " << t << " node " << i;
+            EXPECT_EQ(na[i].left, nb[i].left)
+                << "tree " << t << " node " << i;
+            EXPECT_EQ(na[i].right, nb[i].right)
+                << "tree " << t << " node " << i;
+        }
+    }
 }
 
 TEST(GBT, NonFiniteTargetTrainsWithoutFixedPoint)
 {
     // A NaN target makes every gradient NaN; the round's fixed-point
-    // scale must refuse it rather than round NaN to an integer. (The
-    // checked build rejects the row when it is added.)
+    // scale must refuse it rather than round NaN to an integer, and
+    // the round grows a single leaf. (The checked build rejects the
+    // row when it is added.)
     if (kCheckedBuild)
         GTEST_SKIP() << "checked builds reject non-finite targets";
     Dataset d = stepData(200, 21);
@@ -313,6 +297,8 @@ TEST(GBT, NonFiniteTargetTrainsWithoutFixedPoint)
     GBTRegressor model;
     model.train(d, GBTParams{.nEstimators = 3});
     EXPECT_EQ(model.numTrees(), 3u);
+    for (const auto &tree : model.trees())
+        EXPECT_EQ(tree.nodes.size(), 1u);
     EXPECT_TRUE(std::isnan(model.predict({0.9, 0.5})));
 }
 
@@ -592,6 +578,14 @@ struct MalformedModel
     const char *message;
 };
 
+/** Names the parameter in test listings, instead of gtest's byte dump
+ *  of the struct, which holds string addresses. */
+void
+PrintTo(const MalformedModel &model, std::ostream *os)
+{
+    *os << model.name;
+}
+
 /** The inputs of the GBTDeathTest.Load* tests, in their order. */
 const MalformedModel kMalformedModels[] = {
     {"Garbage", "not-a-model 9", "bad GBT model"},
@@ -734,6 +728,14 @@ TEST(GBTDeathTest, TrainRejectsMaxBinsAbove256)
     GBTRegressor model;
     EXPECT_DEATH(model.train(stepData(200, 21), GBTParams{.maxBins = 257}),
                  "maxBins");
+}
+
+TEST(GBTDeathTest, TrainRejectsNegativeLambda)
+{
+    // The split scan needs every child's nL + lambda >= 1.
+    GBTRegressor model;
+    EXPECT_DEATH(model.train(stepData(200, 21), GBTParams{.lambda = -0.5}),
+                 "lambda");
 }
 
 TEST(GBTDeathTest, PredictRejectsWrongWidth)
