@@ -39,8 +39,7 @@ main(int argc, char **argv)
         for (Celsius offset : offsets) {
             tasks.push_back(
                 {source,
-                 [&table, offset] { return thController(table, offset); },
-                 kBenchSeed, kBaselineFrequency});
+                 [&table, offset] { return thController(table, offset); }});
         }
     }
     const std::vector<RunResult> all = runAll(pipeline.config(), tasks);

@@ -34,8 +34,7 @@ main(int argc, char **argv)
     std::vector<RunTask> tasks;
     for (double g : guardbands) {
         tasks.push_back({source,
-                         [&ctx, g] { return ctx->mlController(g); },
-                         kBenchSeed, kBaselineFrequency});
+                         [&ctx, g] { return ctx->mlController(g); }});
     }
     const std::vector<RunResult> runs =
         runAll(ctx->pipeline.config(), tasks);

@@ -34,11 +34,9 @@ main(int argc, char **argv)
     std::vector<RunTask> tasks;
     for (const WorkloadSource *source : set.sources) {
         tasks.push_back({source,
-                         [&th_table] { return thController(th_table, 0.0); },
-                         kBenchSeed, kBaselineFrequency});
+                         [&th_table] { return thController(th_table, 0.0); }});
         tasks.push_back({source,
-                         [&ctx] { return ctx->mlController(0.05); },
-                         kBenchSeed, kBaselineFrequency});
+                         [&ctx] { return ctx->mlController(0.05); }});
     }
     const std::vector<RunResult> runs =
         runAll(ctx->pipeline.config(), tasks);

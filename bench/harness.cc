@@ -181,11 +181,12 @@ summarize(const std::string &workload, const std::string &controller,
 EvalRow
 evaluateController(SimulationPipeline &pipeline,
                    const WorkloadSource &source,
-                   FrequencyController &controller, uint64_t seed)
+                   FrequencyController &controller)
 {
     const auto clone = source.clone();
     return summarize(source.name(), controller.name(),
-                     pipeline.runWithController(*clone, seed, controller,
+                     pipeline.runWithController(*clone, kBenchSeed,
+                                                controller,
                                                 kBaselineFrequency));
 }
 
@@ -202,7 +203,7 @@ runAll(const PipelineConfig &config, const std::vector<RunTask> &tasks)
                 const auto controller = task.makeController();
                 const auto src = task.source->clone();
                 results[j] = local.runWithController(
-                    *src, task.seed, *controller, task.initialFreq);
+                    *src, kBenchSeed, *controller, kBaselineFrequency);
             }
         });
     return results;
@@ -211,14 +212,13 @@ runAll(const PipelineConfig &config, const std::vector<RunTask> &tasks)
 std::vector<std::vector<EvalRow>>
 evaluateGrid(const PipelineConfig &config,
              const std::vector<const WorkloadSource *> &sources,
-             const std::vector<ControllerFactory> &controllers,
-             uint64_t seed)
+             const std::vector<ControllerFactory> &controllers)
 {
     std::vector<RunTask> tasks;
     tasks.reserve(sources.size() * controllers.size());
     for (const WorkloadSource *s : sources) {
         for (const ControllerFactory &make : controllers)
-            tasks.push_back({s, make, seed, kBaselineFrequency});
+            tasks.push_back({s, make});
     }
     const std::vector<RunResult> runs = runAll(config, tasks);
 

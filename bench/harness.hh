@@ -138,13 +138,13 @@ struct EvalRow
 };
 
 /**
- * Run one controller on a fresh clone of one source and summarize;
- * the row is labeled with the source name.
+ * Run one controller on a fresh clone of one source (seed kBenchSeed,
+ * starting at kBaselineFrequency) and summarize; the row is labeled
+ * with the source name.
  */
 EvalRow evaluateController(SimulationPipeline &pipeline,
                            const WorkloadSource &source,
-                           FrequencyController &controller,
-                           uint64_t seed = kBenchSeed);
+                           FrequencyController &controller);
 
 /**
  * Creates a fresh controller instance for one run. Invoked on pool
@@ -154,15 +154,14 @@ EvalRow evaluateController(SimulationPipeline &pipeline,
 using ControllerFactory =
     std::function<std::unique_ptr<FrequencyController>()>;
 
-/** One independent closed-loop run for the parallel fan-out. The
- *  task runs a private clone of `source`, so many tasks may share one
- *  base source. */
+/** One independent closed-loop run for the parallel fan-out, seeded
+ *  with kBenchSeed and starting at kBaselineFrequency. The task runs a
+ *  private clone of `source`, so many tasks may share one base
+ *  source. */
 struct RunTask
 {
     const WorkloadSource *source = nullptr;
     ControllerFactory makeController;
-    uint64_t seed = kBenchSeed;
-    GHz initialFreq = kBaselineFrequency;
 };
 
 /**
@@ -175,13 +174,13 @@ std::vector<RunResult> runAll(const PipelineConfig &config,
 
 /**
  * Evaluate the full (source x controller) grid in parallel, one source
- * clone per run. Result rows are indexed [source][controller],
- * matching the input vectors' order, and labeled with source names.
+ * clone per run, each a RunTask. Result rows are indexed
+ * [source][controller], matching the input vectors' order, and
+ * labeled with source names.
  */
 std::vector<std::vector<EvalRow>>
 evaluateGrid(const PipelineConfig &config,
              const std::vector<const WorkloadSource *> &sources,
-             const std::vector<ControllerFactory> &controllers,
-             uint64_t seed = kBenchSeed);
+             const std::vector<ControllerFactory> &controllers);
 
 } // namespace boreas::bench

@@ -71,8 +71,7 @@ timeSweep()
                              return std::make_unique<
                                  FixedFrequencyController>(
                                  "fixed", kBaselineFrequency);
-                         },
-                         kBenchSeed, kBaselineFrequency});
+                         }});
     }
     const auto t0 = Clock::now();
     const std::vector<RunResult> runs = runAll(reportConfig(), tasks);

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "ml/feature_schema.hh"
+#include "sensors/placement.hh"
 
 namespace boreas
 {
@@ -31,7 +32,7 @@ emitInstance(Dataset &out, const RunResult &run, int t,
 {
     const StepRecord &rec = run.steps[t];
     const std::vector<double> x = assembleFeatures(
-        rec.counters, rec.sensorReadings[config.sensorIndex],
+        rec.counters, rec.sensorReadings[kBestSensorIndex],
         window_freq);
     out.addRow(x, labelFor(run, t, config.horizonSteps,
                            config.labelClamp), group);
@@ -40,8 +41,7 @@ emitInstance(Dataset &out, const RunResult &run, int t,
 /** Emit a Cochran-Reda sample at a decision boundary. */
 void
 emitPhaseSample(std::vector<PhaseThermalSample> &out,
-                const RunResult &run, int t, int horizon,
-                int sensor_index, int freq_index)
+                const RunResult &run, int t, int horizon, int freq_index)
 {
     const int next = t + horizon;
     if (next >= static_cast<int>(run.steps.size()))
@@ -50,9 +50,9 @@ emitPhaseSample(std::vector<PhaseThermalSample> &out,
     const StepRecord &rec = run.steps[t];
     s.counters.assign(rec.counters.values.begin(),
                       rec.counters.values.end());
-    s.tempNow = rec.sensorReadings[sensor_index];
+    s.tempNow = rec.sensorReadings[kBestSensorIndex];
     s.freqIndex = freq_index;
-    s.tempNext = run.steps[next].sensorReadings[sensor_index];
+    s.tempNext = run.steps[next].sensorReadings[kBestSensorIndex];
     out.push_back(std::move(s));
 }
 
@@ -99,8 +99,7 @@ runJob(SimulationPipeline &pipeline, const VFTable &vf,
         for (int t = config.horizonSteps - 1; t < last;
              t += config.horizonSteps)
             emitPhaseSample(out.phaseSamples, run, t,
-                            config.horizonSteps, config.sensorIndex,
-                            vf.index(job.constFreq));
+                            config.horizonSteps, vf.index(job.constFreq));
         return;
     }
 
@@ -132,7 +131,7 @@ runJob(SimulationPipeline &pipeline, const VFTable &vf,
             continue;
         emitInstance(out.severity, run, t, config, wf, job.group);
         emitPhaseSample(out.phaseSamples, run, t, config.horizonSteps,
-                        config.sensorIndex, vf.index(wf));
+                        vf.index(wf));
     }
 }
 

@@ -15,7 +15,9 @@
  *     transitions the controller's what-if queries depend on.
  *
  * The same trajectories also yield the (counters, temp_now, freq,
- * temp_next) samples the Cochran-Reda baseline trains on.
+ * temp_next) samples the Cochran-Reda baseline trains on. Every
+ * temperature comes from the canonical sensor the controllers read,
+ * kBestSensorIndex.
  */
 
 #pragma once
@@ -47,8 +49,6 @@ struct DatasetConfig
      * one-period lookahead (plus a delayed sensor) would walk into.
      */
     int horizonSteps = 2 * kStepsPerDecision;
-    /** Sensor feeding temperature_sensor_data. */
-    int sensorIndex = kBestSensorIndex;
     uint64_t baseSeed = 1234;
 
     /**

@@ -203,8 +203,6 @@ SimulationPipeline::step(GHz freq)
         }
     }
     rec.counters = core_counters[0];
-    if (ncores > 1)
-        rec.coreCounters = core_counters;
 
     std::vector<Watts> unit_power;
     {

@@ -65,14 +65,12 @@ struct StepRecord
     int step = 0;
     GHz frequency = 0.0;
     Volts voltage = 0.0;
-    /** Telemetry of core 0 (the only core for single-core sources). */
-    CounterSet counters;
     /**
-     * Per-core telemetry when the source drives several cores
-     * (coreCounters[0] duplicates `counters`); empty on single-core
-     * runs, where `counters` is the whole story.
+     * Telemetry of core 0 (the only core for single-core sources), the
+     * core the sensors and controllers watch. The other cores' counters
+     * reach the record only through stateHash.
      */
-    std::vector<CounterSet> coreCounters;
+    CounterSet counters;
     Watts totalPower = 0.0;
     SeveritySnapshot severity;
     std::vector<Celsius> sensorReadings; ///< delayed

@@ -27,8 +27,7 @@ trainBoreas(SimulationPipeline &pipeline,
                   "empty training dataset");
 
     // Deployed model on the selected columns.
-    out.featureNames = config.deployedFeatures.empty()
-        ? deployedFeatureNames() : config.deployedFeatures;
+    out.featureNames = deployedFeatureNames();
     out.trainData = out.fullTrainData.selectFeatures(
         featureIndicesOf(out.featureNames));
     out.model.train(out.trainData, config.gbt);

@@ -26,9 +26,6 @@ struct TrainerConfig
 {
     DatasetConfig data{};
     GBTParams gbt{};          ///< defaults = Table II
-    /** Feature names of the deployed model; empty = Table IV top-20 +
-     *  frequency. */
-    std::vector<std::string> deployedFeatures;
 };
 
 /**
@@ -41,7 +38,8 @@ struct TrainedBoreas
 {
     /** Deployed model (selected features). */
     GBTRegressor model;
-    /** Column names of the deployed model, in order. */
+    /** Column names of the deployed model, in order; trainBoreas
+     *  fits deployedFeatureNames() (Table IV top 20 + frequency). */
     std::vector<std::string> featureNames;
     /** The raw training data (full schema). */
     Dataset fullTrainData;

@@ -113,8 +113,8 @@ FleetSimulator::run()
             continue;
         }
         slot.controller = std::make_unique<CappedController>(
-            factory_(i), config_.controller.maxCap);
-        slot.freq = config_.initialFreq;
+            factory_(i), kMaxFrequency);
+        slot.freq = kBaselineFrequency;
         slot.ok = true;
     }
 

@@ -62,7 +62,6 @@ struct FleetConfig
      *  kStepsPerDecision so epoch chaining preserves the decision
      *  schedule (SimulationPipeline::continueWithController). */
     int epochSteps = 3 * kStepsPerDecision;
-    GHz initialFreq = kBaselineFrequency;
 
     FleetControllerConfig controller;
 };

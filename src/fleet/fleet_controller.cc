@@ -10,9 +10,6 @@ namespace boreas::fleet
 FleetController::FleetController(const FleetControllerConfig &config)
     : config_(config)
 {
-    boreas_assert(config_.minCap <= config_.maxCap,
-                  "fleet cap range inverted (%g > %g GHz)",
-                  config_.minCap, config_.maxCap);
     boreas_assert(config_.incursionGuardSteps >= 0,
                   "negative incursion guardband");
 }
@@ -33,9 +30,7 @@ FleetController::estimatePowerAt(const DieEpochTelemetry &die,
 std::vector<GHz>
 FleetController::assign(const std::vector<DieEpochTelemetry> &dies) const
 {
-    const GHz max_cap = vf_.clamp(config_.maxCap);
-    const GHz min_cap = vf_.clamp(config_.minCap);
-    std::vector<GHz> caps(dies.size(), max_cap);
+    std::vector<GHz> caps(dies.size(), kMaxFrequency);
 
     Watts total = 0.0;
     for (const DieEpochTelemetry &die : dies) {
@@ -50,17 +45,15 @@ FleetController::assign(const std::vector<DieEpochTelemetry> &dies) const
         const DieEpochTelemetry &die = dies[i];
         if (!die.ok)
             continue;
-        GHz cap = max_cap;
+        GHz cap = kMaxFrequency;
         if (over_budget && die.avgPower > 0.0) {
             // Proportional share of the budget: heavy dies keep their
             // relative weight, so the cut lands fleet-wide instead of
             // starving whichever die happened to report first.
             const Watts share =
                 config_.globalBudget * (die.avgPower / total);
-            cap = min_cap;
+            cap = kMinFrequency;
             for (const GHz f : vf_.frequencies()) {
-                if (f > max_cap)
-                    break;
                 if (estimatePowerAt(die, f) <= share)
                     cap = std::max(cap, f);
             }
@@ -71,7 +64,7 @@ FleetController::assign(const std::vector<DieEpochTelemetry> &dies) const
                         die.incursionSteps > 0;
              ++s)
             cap = vf_.stepDown(cap);
-        caps[i] = std::clamp(cap, min_cap, max_cap);
+        caps[i] = std::clamp(cap, kMinFrequency, kMaxFrequency);
     }
     return caps;
 }

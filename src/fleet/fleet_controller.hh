@@ -32,14 +32,12 @@ namespace boreas::fleet
 struct FleetControllerConfig
 {
     /** Fleet-wide power budget; <= 0 means unlimited (caps stay at
-     *  maxCap unless an incursion guardband pulls one down). */
+     *  kMaxFrequency unless an incursion guardband pulls one down).
+     *  Caps range over the VF grid, kMinFrequency to kMaxFrequency. */
     Watts globalBudget = 0.0;
     /** VF steps (250 MHz each) a die is pulled down per epoch in
      *  which it logged at least one hotspot incursion. */
     int incursionGuardSteps = 1;
-    /** Cap range (clamped to the VF grid). */
-    GHz maxCap = kMaxFrequency;
-    GHz minCap = kMinFrequency;
 };
 
 /** One die's telemetry summary over the last control epoch. */
@@ -61,7 +59,8 @@ class FleetController
     const FleetControllerConfig &config() const { return config_; }
 
     /**
-     * One cap per telemetry entry (failed dies get maxCap, unused).
+     * One cap per telemetry entry (failed dies get kMaxFrequency,
+     * unused).
      * Pure: identical telemetry vectors produce identical caps.
      */
     std::vector<GHz>

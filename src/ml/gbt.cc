@@ -71,7 +71,7 @@ struct BinnedData
 };
 
 BinnedData
-binFeatures(const Dataset &data, int max_bins)
+binFeatures(const Dataset &data)
 {
     obs::ScopedTimer timer("gbt.bin");
     BinnedData b;
@@ -97,9 +97,9 @@ binFeatures(const Dataset &data, int max_bins)
                 // Quantile cut candidates; deduplicated. The last bin
                 // is implicit (> last cut).
                 std::vector<double> cuts;
-                for (int q = 1; q < max_bins; ++q) {
+                for (size_t q = 1; q < kMaxBins; ++q) {
                     const size_t idx = std::min(
-                        b.numRows - 1, q * b.numRows / max_bins);
+                        b.numRows - 1, q * b.numRows / kMaxBins);
                     const double v = sorted[idx];
                     if (cuts.empty() || v > cuts.back())
                         cuts.push_back(v);
@@ -287,10 +287,9 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
     boreas_assert(data.numRows() > 0, "empty training set");
     boreas_assert(params.maxDepth >= 1 && params.nEstimators >= 1,
                   "bad GBT params");
-    boreas_assert(params.maxBins >= 2 &&
-                  params.maxBins <= static_cast<int>(kMaxBins),
-                  "maxBins %d outside [2, %zu]: bin codes are one byte",
-                  params.maxBins, kMaxBins);
+    boreas_assert(params.maxDepth <= FlatGBT::kMaxDepth,
+                  "maxDepth %d exceeds the serving padding limit %d",
+                  params.maxDepth, FlatGBT::kMaxDepth);
     boreas_assert(params.lambda >= 0.0 && std::isfinite(params.lambda),
                   "lambda %g must be finite and >= 0", params.lambda);
     params_ = params;
@@ -300,7 +299,7 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
     const size_t n = data.numRows();
     base_ = data.targetMean();
 
-    const BinnedData binned = binFeatures(data, params.maxBins);
+    const BinnedData binned = binFeatures(data);
     const size_t nf = binned.numFeatures;
     auto nbins = [&](size_t f) { return binned.cuts[f].size() + 1; };
 

@@ -5,9 +5,8 @@
  * Squared-error objective: per boosting round the gradient of row i is
  * (pred_i - y_i) and the hessian is 1. Trees are grown level-wise to
  * max_depth using histogram-based split finding (each feature
- * quantile-binned into at most maxBins <= 256 bins, so every code is
- * one byte; train() rejects a larger maxBins) and the XGBoost gain
- * formula
+ * quantile-binned into at most 256 bins, so every code is one byte)
+ * and the XGBoost gain formula
  *
  *   gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda)
  *                - (GL+GR)^2/(HL+HR+lambda) ] - gamma
@@ -44,11 +43,11 @@ struct GBTParams
 {
     double learningRate = 0.3;  ///< "alpha" in Table II
     double gamma = 0.0;         ///< min loss reduction to split
+    /** At most FlatGBT::kMaxDepth, so every trained tree serves. */
     int maxDepth = 3;
     int nEstimators = 223;
     double lambda = 1.0;        ///< L2 regularization on leaf weights, >= 0
     double minChildWeight = 1.0;///< min hessian sum per child
-    int maxBins = 256;          ///< bins per feature, in [2, 256]
 };
 
 /** One node of a regression tree (leaf iff feature < 0). */

@@ -1,7 +1,5 @@
 #include "ml/gbt_flat.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
@@ -13,48 +11,6 @@ namespace boreas
 
 namespace
 {
-
-/** Measured depth of one tree, validating the structure on the way:
- *  features in range, children forward-pointing (termination proof),
- *  finite values. Panics on a malformed tree. */
-int
-validateTree(const GBTTree &tree, size_t num_features)
-{
-    boreas_assert(!tree.nodes.empty(), "FlatGBT: empty tree");
-    const int n = static_cast<int>(tree.nodes.size());
-    int max_depth = 0;
-    std::vector<std::pair<int, int>> stack{{0, 0}};
-    while (!stack.empty()) {
-        const auto [idx, d] = stack.back();
-        stack.pop_back();
-        max_depth = std::max(max_depth, d);
-        const GBTNode &node = tree.nodes[idx];
-        boreas_assert(std::isfinite(node.value),
-                      "FlatGBT: non-finite leaf weight at node %d", idx);
-        if (node.feature < 0)
-            continue;
-        boreas_assert(node.feature <
-                      static_cast<int>(num_features),
-                      "FlatGBT: node %d splits on feature %d outside "
-                      "%zu features", idx, node.feature, num_features);
-        boreas_assert(std::isfinite(node.threshold),
-                      "FlatGBT: non-finite threshold at node %d", idx);
-        // Children strictly after the parent: the level-wise grower
-        // appends children, and forward-only links guarantee every
-        // descent terminates.
-        boreas_assert(node.left > idx && node.left < n &&
-                      node.right > idx && node.right < n,
-                      "FlatGBT: node %d has out-of-range children "
-                      "%d/%d (tree of %d nodes)",
-                      idx, node.left, node.right, n);
-        stack.push_back({node.left, d + 1});
-        stack.push_back({node.right, d + 1});
-    }
-    boreas_assert(max_depth <= FlatGBT::kMaxDepth,
-                  "FlatGBT: tree depth %d exceeds the padding limit %d",
-                  max_depth, FlatGBT::kMaxDepth);
-    return max_depth;
-}
 
 /**
  * Recursively copy the subtree rooted at `orig` into perfect-tree slot
@@ -106,10 +62,10 @@ FlatGBT::FlatGBT(const GBTRegressor &model)
     nodeOffset_.resize(nt);
     leafOffset_.resize(nt);
 
-    // Pass 1: validate every tree and lay out the padded geometry.
+    // Pass 1: lay out the padded geometry.
     int64_t total_nodes = 0, total_leaves = 0;
     for (size_t t = 0; t < nt; ++t) {
-        const int d = validateTree(trees[t], numFeatures_);
+        const int d = trees[t].depth();
         treeDepth_[t] = d;
         nodeOffset_[t] = static_cast<int32_t>(total_nodes);
         leafOffset_[t] = static_cast<int32_t>(total_leaves);

@@ -46,12 +46,14 @@ class FlatGBT
 {
   public:
     /** Trees deeper than this would blow up the perfect-tree padding
-     *  (2^depth leaf slots per tree); the constructor refuses them. */
+     *  (2^depth leaf slots per tree); GBTRegressor::train() and
+     *  tryLoad() refuse them. */
     static constexpr int kMaxDepth = 20;
 
-    /** Compile a trained ensemble. Validates the model structure
-     *  (feature indices, forward-pointing children, finite values,
-     *  depth within kMaxDepth) and panics on a malformed model. */
+    /** Compile a trained ensemble. Checks nothing of the trees: the
+     *  only ways to fill a GBTRegressor, train() and tryLoad(), already
+     *  bound each tree's depth, feature indices, child links and
+     *  values. */
     explicit FlatGBT(const GBTRegressor &model);
 
     size_t numTrees() const { return treeDepth_.size(); }

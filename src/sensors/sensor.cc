@@ -1,7 +1,6 @@
 #include "sensors/sensor.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 
@@ -23,18 +22,11 @@ ThermalSensor::ThermalSensor(std::string name, Point location,
 }
 
 void
-ThermalSensor::sample(const ThermalGrid &grid, Seconds dt, Rng &rng)
+ThermalSensor::sample(const ThermalGrid &grid, Rng &rng)
 {
     lastTrue_ = grid.temperatureAt(location_);
 
     Celsius value = lastTrue_;
-    if (params_.filterTau > 0.0) {
-        const double alpha = 1.0 - std::exp(-dt / params_.filterTau);
-        filtered_ += alpha * (value - filtered_);
-        value = filtered_;
-    } else {
-        filtered_ = value;
-    }
     if (params_.noiseSigma > 0.0)
         value += rng.normal(0.0, params_.noiseSigma);
 
@@ -56,7 +48,6 @@ ThermalSensor::reset(Celsius temp)
 {
     std::fill(history_.begin(), history_.end(), temp);
     head_ = 0;
-    filtered_ = temp;
     lastTrue_ = temp;
 }
 
@@ -69,10 +60,10 @@ SensorBank::addSensor(const std::string &name, const Point &location,
 }
 
 void
-SensorBank::sampleAll(const ThermalGrid &grid, Seconds dt, Rng &rng)
+SensorBank::sampleAll(const ThermalGrid &grid, Seconds, Rng &rng)
 {
     for (auto &s : sensors_)
-        s.sample(grid, dt, rng);
+        s.sample(grid, rng);
 }
 
 void

@@ -7,8 +7,9 @@
  * to advanced-hotspot formation and is a core reason reactive DVFS needs
  * big guardbands. A sensor here samples the thermal grid every telemetry
  * step and exposes a reading delayed by a configurable number of steps,
- * optionally low-pass filtered (sensor thermal mass) and with Gaussian
- * read noise.
+ * optionally with Gaussian read noise. The delay stands for the whole
+ * sensor chain's latency, thermal mass included: no sensor here
+ * low-pass filters its samples.
  */
 
 #pragma once
@@ -29,8 +30,6 @@ struct SensorParams
 {
     /** Readout delay in telemetry steps (12 steps = 960 us default). */
     int delaySteps = 12;
-    /** First-order lag time constant; 0 disables filtering. */
-    Seconds filterTau = 0.0;
     /** Gaussian read-noise sigma in C; 0 disables. */
     Celsius noiseSigma = 0.0;
 };
@@ -47,9 +46,9 @@ class ThermalSensor
     const SensorParams &params() const { return params_; }
 
     /** Sample the grid (call once per telemetry step). */
-    void sample(const ThermalGrid &grid, Seconds dt, Rng &rng);
+    void sample(const ThermalGrid &grid, Rng &rng);
 
-    /** Current delayed (and filtered/noisy) reading. */
+    /** Current delayed (and noisy) reading. */
     Celsius reading() const;
 
     /** Instantaneous true temperature at the sensor site (no delay). */
@@ -63,9 +62,8 @@ class ThermalSensor
     Point location_;
     SensorParams params_;
 
-    std::vector<Celsius> history_; ///< ring buffer of filtered samples
+    std::vector<Celsius> history_; ///< ring buffer of samples
     size_t head_ = 0;              ///< next write position
-    Celsius filtered_ = kAmbient;
     Celsius lastTrue_ = kAmbient;
 };
 
@@ -83,8 +81,11 @@ class SensorBank
     const ThermalSensor &sensor(int idx) const { return sensors_[idx]; }
     ThermalSensor &sensor(int idx) { return sensors_[idx]; }
 
-    /** Sample every sensor from the grid. */
-    void sampleAll(const ThermalGrid &grid, Seconds dt, Rng &rng);
+    /** Sample every sensor from the grid. The step length is unused
+     *  (no sensor filters); it stays in the signature until the
+     *  benchmark's layer walk (perfbench/walk.cc), which passes it, is
+     *  next changed. */
+    void sampleAll(const ThermalGrid &grid, Seconds, Rng &rng);
 
     /** Reset all sensors to a temperature. */
     void resetAll(Celsius temp);

@@ -243,13 +243,15 @@ void
 ThermalGrid::solveSteadyState()
 {
     spectral_->solveSteadyState();
+    // The sensors reset from the silicon field at once. The spreader,
+    // which no simulation path reads, is published on its first read.
     spectral_->realizeSilicon(tSi_);
-    spectral_->realizeSpreader(tSp_);
     siValid_ = true;
-    spValid_ = true;
+    spValid_ = false;
     lastDt_ = 0.0;
 
     if constexpr (kCheckedBuild) {
+        ensureSpreaderCurrent();
         checkValuesInRange(tSi_.data(), tSi_.size(), kMinSaneTemp,
                            kMaxSaneTemp, "steady-state silicon temp");
         checkValuesInRange(tSp_.data(), tSp_.size(), kMinSaneTemp,

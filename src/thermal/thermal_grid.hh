@@ -36,7 +36,9 @@
  * with the sink temperature; the grid's silicon and spreader fields are
  * views it publishes on first read after a step. Warm starts use the
  * solver's closed-form steady state in the same DCT basis (DESIGN.md
- * §9.7), published once.
+ * §9.7): the silicon field is published at once, the spreader only on
+ * its first read, so a release warm start costs two DCTs (setPower's
+ * forward and the silicon inverse).
  */
 
 #pragma once
@@ -141,11 +143,12 @@ class ThermalGrid
     /**
      * Replace the whole thermal state with the exact steady state of
      * the current power map (SpectralThermalSolver::solveSteadyState,
-     * DESIGN.md §9.7), publish both fields and start a new run for
-     * the dt check. Used for warm-start initial conditions; no
-     * reset() is needed first. The result depends only on the power
-     * map, never on the prior state, and is bitwise reproducible
-     * across hosts.
+     * DESIGN.md §9.7), publish the silicon field and start a new run
+     * for the dt check. The spreader field is published on its first
+     * read (checked builds publish it here, to range-check it). Used
+     * for warm-start initial conditions; no reset() is needed first.
+     * The result depends only on the power map, never on the prior
+     * state, and is bitwise reproducible across hosts.
      */
     void solveSteadyState();
 

@@ -722,12 +722,30 @@ TEST(GBT, TryLoadRejectsTreeDeeperThanServingPadding)
     EXPECT_FALSE(model.trained());
 }
 
-TEST(GBTDeathTest, TrainRejectsMaxBinsAbove256)
+TEST(GBTDeathTest, TrainRejectsMaxDepthPastServingPadding)
 {
-    // Bin codes are one byte wide.
+    // FlatGBT compiles trained trees without checking them, so train()
+    // bounds the depth. Targets +-2^i, larger towards both ends of x,
+    // make each split peel off the row at one end: a chain as deep as
+    // maxDepth allows. They come in +- pairs, so the base is exactly 0.
+    Dataset d({"x"});
+    for (int i = 0; i < 40; ++i) {
+        d.addRow({static_cast<double>(i)}, std::ldexp(1.0, i), 0);
+        d.addRow({-1.0 - i}, -std::ldexp(1.0, i), 0);
+    }
+    const GBTParams chain{.learningRate = 1.0,
+                          .maxDepth = FlatGBT::kMaxDepth,
+                          .nEstimators = 1,
+                          .lambda = 0.0,
+                          .minChildWeight = 0.0};
     GBTRegressor model;
-    EXPECT_DEATH(model.train(stepData(200, 21), GBTParams{.maxBins = 257}),
-                 "maxBins");
+    model.train(d, chain);
+    EXPECT_EQ(model.trees()[0].depth(), FlatGBT::kMaxDepth);
+    EXPECT_EQ(FlatGBT(model).numTrees(), 1u);
+
+    GBTParams deeper = chain;
+    deeper.maxDepth = FlatGBT::kMaxDepth + 1;
+    EXPECT_DEATH(model.train(d, deeper), "serving padding limit");
 }
 
 TEST(GBTDeathTest, TrainRejectsNegativeLambda)

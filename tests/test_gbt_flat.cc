@@ -227,25 +227,3 @@ TEST(FlatGBT, StumpEnsembleAndEmptyBatchWork)
     flat.predictBatch(&x, 0, nullptr); // no rows: no touch, no crash
 }
 
-
-TEST(FlatGBTDeathTest, RejectsTrainedTreeDeeperThanPaddingLimit)
-{
-    // A model built in code skips tryLoad's depth bound, so the
-    // compile keeps its own. Targets +-2^i, larger towards both ends
-    // of x, make each split peel off the row at one end, a chain
-    // deeper than the padding allows; they come in +- pairs, so the
-    // base is exactly 0.
-    Dataset d({"x"});
-    for (int i = 0; i < 40; ++i) {
-        d.addRow({static_cast<double>(i)}, std::ldexp(1.0, i), 0);
-        d.addRow({-1.0 - i}, -std::ldexp(1.0, i), 0);
-    }
-    GBTRegressor model;
-    model.train(d, GBTParams{.learningRate = 1.0,
-                             .maxDepth = FlatGBT::kMaxDepth + 8,
-                             .nEstimators = 1,
-                             .lambda = 0.0,
-                             .minChildWeight = 0.0});
-    ASSERT_GT(model.trees()[0].depth(), FlatGBT::kMaxDepth);
-    EXPECT_DEATH((void)FlatGBT(model), "padding limit");
-}

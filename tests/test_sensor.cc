@@ -37,7 +37,7 @@ struct SensorFixture : public ::testing::Test
         grid.setUnitPower(power);
         grid.step(80e-6);
         for (auto *s : sensors)
-            s->sample(grid, 80e-6, rng);
+            s->sample(grid, rng);
     }
 
     Floorplan fp;
@@ -126,23 +126,10 @@ TEST_F(SensorFixture, FreshSensorMatchesAmbientReset)
     grid.setUnitPower(power);
     for (int i = 0; i < 25; ++i) {
         grid.step(80e-6);
-        fresh.sample(grid, 80e-6, rng_a);
-        resetted.sample(grid, 80e-6, rng_b);
+        fresh.sample(grid, rng_a);
+        resetted.sample(grid, rng_b);
         EXPECT_DOUBLE_EQ(fresh.reading(), resetted.reading());
     }
-}
-
-TEST_F(SensorFixture, FilterSmoothsSteps)
-{
-    SensorParams filtered;
-    filtered.delaySteps = 0;
-    filtered.filterTau = 500e-6;
-    ThermalSensor slow("slow", site, filtered);
-    ThermalSensor fast("fast", site, SensorParams{.delaySteps = 0});
-    for (int i = 0; i < 10; ++i)
-        heatStep({&slow, &fast}, 8.0);
-    EXPECT_LT(slow.reading(), fast.reading());
-    EXPECT_GT(slow.reading(), kAmbient);
 }
 
 TEST_F(SensorFixture, NoiseIsDeterministicPerRng)
@@ -158,8 +145,8 @@ TEST_F(SensorFixture, NoiseIsDeterministicPerRng)
     grid.setUnitPower(power);
     for (int i = 0; i < 10; ++i) {
         grid.step(80e-6);
-        a.sample(grid, 80e-6, rng_a);
-        b.sample(grid, 80e-6, rng_b);
+        a.sample(grid, rng_a);
+        b.sample(grid, rng_b);
         EXPECT_DOUBLE_EQ(a.reading(), b.reading());
     }
 }

@@ -186,11 +186,9 @@ TEST(WorkloadSource, WrappedSpecNameResolvesToSameRun)
 
         SimulationPipeline a(fastPipelineConfig());
         SimulationPipeline b(fastPipelineConfig());
-        const RunResult ra = a.runConstantFrequency(*wrapped, 42, 4.5, 48);
+        a.runConstantFrequency(*wrapped, 42, 4.5, 48);
         b.runConstantFrequency(*resolved, 42, 4.5, 48);
         EXPECT_EQ(a.runHash(), b.runHash()) << spec.name;
-        // Single-core runs keep the one-core record shape.
-        EXPECT_TRUE(ra.steps.front().coreCounters.empty()) << spec.name;
     }
 }
 
@@ -248,11 +246,6 @@ TEST(WorkloadSource, MixRunsEndToEndWithPerCoreTelemetry)
     const RunResult r =
         pipeline.runConstantFrequency(*source, 2023, 4.25, 36);
     ASSERT_EQ(r.steps.size(), 36u);
-    // Multi-core runs expose per-core counters; [0] mirrors the
-    // legacy single-core field.
-    ASSERT_EQ(r.steps.front().coreCounters.size(), 2u);
-    EXPECT_EQ(r.steps.front().coreCounters[0].values,
-              r.steps.front().counters.values);
     EXPECT_GT(r.peakSeverity(), 0.0);
     EXPECT_NE(pipeline.runHash(), 0u);
 }
